@@ -69,7 +69,7 @@ _RUN_KEYS = {
 def run_config_from_text(text: str) -> ProtocolConfig:
     """Build a protocol run configuration from config text.
 
-    Keys: ``parties`` (receivers, >= 2), ``iterations``, ``secret_k`` or a
+    Keys: ``parties`` (receivers, 2 to 7), ``iterations``, ``secret_k`` or a
     comma-separated ``secrets`` list (one k per iteration), ``channel`` /
     ``strength``, optional ``wmrqm_s`` / ``wmrqm_r`` (both or neither) and
     optional ``return_channel`` / ``return_strength``.

@@ -17,7 +17,11 @@ One iteration shares a single-qubit secret ``alpha|0> + beta|1>`` among
 Between iterations the helper receivers return their (collapsed) qubits;
 the dealer resets each to ``|0>`` by a projective measurement plus a
 conditional bit flip, adds a fresh ``|+>`` qubit, and rebuilds the resource
-for the next secret.
+for the next secret. The reset lands on ``|0>`` whatever it receives, so
+every carried branch re-enters the same register: the next iteration runs
+once, weighted by the total probability carried over. The return trip and
+the reset are computed once per announced label and checked to give
+``|0><0|``.
 
 Register layout: qubit 1 of the shared state is the first helper's, qubit 2
 is the dealer's, the reconstructor holds the last qubit. All measurement
@@ -56,7 +60,7 @@ from .linalg import (
     dagger,
     embed,
 )
-from .tolerances import equality_atol
+from .tolerances import LINALG_ATOL, equality_atol
 
 __all__ = [
     "Secret",
@@ -82,6 +86,10 @@ __all__ = [
 ]
 
 ALICE_QUBIT = 1
+
+# Largest receiver count: the register (receivers plus the dealer) is held
+# as a dense 2^m-square matrix, and 8 qubits is the documented cap.
+MAX_PARTIES = 7
 
 # Branches below this (per-iteration) probability are reported but carry no
 # reconstructed state; they are never divided by.
@@ -154,12 +162,13 @@ class Wmrqm:
 class ProtocolConfig:
     """Full description of a protocol run.
 
-    ``parties`` counts the receivers (the dealer is extra); ``channel``
-    may be a single spec applied to every transmitted qubit, or one entry
-    per transmitted qubit (``None`` = noiseless leg). ``return_channel``
-    optionally adds noise to the helpers' qubits on their way back to the
-    dealer between iterations; the reset makes it irrelevant, which is
-    exactly what the sequential-independence tests demonstrate.
+    ``parties`` counts the receivers (the dealer is extra), from 2 to
+    ``MAX_PARTIES``; ``channel`` may be a single spec applied to every
+    transmitted qubit, or one entry per transmitted qubit (``None`` =
+    noiseless leg). ``return_channel`` optionally adds noise to the
+    helpers' qubits on their way back to the dealer between iterations; the
+    reset makes it irrelevant, which is exactly what the
+    sequential-independence tests demonstrate.
     """
 
     parties: int
@@ -172,6 +181,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.parties < 2:
             raise ValueError(f"need at least 2 receivers, got {self.parties}")
+        if self.parties > MAX_PARTIES:
+            raise ValueError(
+                f"at most {MAX_PARTIES} receivers ({MAX_PARTIES + 1} qubits), got {self.parties}"
+            )
         secrets = tuple(self.secrets)
         object.__setattr__(self, "secrets", secrets)
         if len(secrets) != self.iterations:
@@ -247,7 +260,9 @@ class ProtocolState:
 
     Each branch records its joint probability and the helpers' collapsed
     qubits (as Hadamard-basis outcome labels, which determine the returned
-    pure states exactly).
+    pure states exactly). ``advance`` sums these weights, times the reset
+    outcome probabilities of the returned qubits, into the one weight of the
+    recycled register.
     """
 
     parties: int
@@ -399,6 +414,15 @@ def _execute_iteration(
     ``scale`` multiplies every branch probability (joint weight of the
     history that produced ``rho``). Returns the per-branch reports plus the
     surviving branches for the next iteration.
+
+    Branches are walked as a prefix tree. The register after the dealer's
+    projection and the first d helpers' projections is shared by every
+    branch that agrees on those d outcomes, so it is computed once: moving
+    to the next branch in ``itertools.product`` order redoes only the
+    projections from the first changed outcome down. Each projection is
+    the same ``P @ X @ P`` product the flat per-branch loop would compute,
+    so every result is bitwise the same; the k helpers cost 2 + 4 + ... +
+    2^k sandwiches per dealer outcome instead of k * 2^k.
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
@@ -427,17 +451,31 @@ def _execute_iteration(
         {o: embed(p, [q], m) for o, p in _BASIS_PROJECTORS["hadamard"]}
         for q in cfg.collaborator_qubits
     ]
+    # Only the two dealer roots are needed below: free the unprojected
+    # register and the dealer projectors before the level buffers exist.
+    roots = [proj_alice[str(a)] @ rho @ proj_alice[str(a)] for a in (0, 1)]
+    del rho, proj_alice
+
+    # levels[j] holds the register after the dealer's and the first j + 1
+    # helpers' projections; scratch holds the left half of a sandwich.
+    k = len(proj_collab)
+    levels = [np.empty_like(roots[0]) for _ in range(k)]
+    scratch = np.empty_like(roots[0])
 
     secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
-    for a in (0, 1):
-        rho_a = proj_alice[str(a)] @ rho @ proj_alice[str(a)]
-        for outcomes in itertools.product("+-", repeat=len(proj_collab)):
-            branch = rho_a
-            for projs, o in zip(proj_collab, outcomes):
-                branch = projs[o] @ branch @ projs[o]
-            bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
+    for a, root in enumerate(roots):
+        for index, outcomes in enumerate(itertools.product("+-", repeat=k)):
+            # Branches count in binary ("+" = 0, helper 0 most significant),
+            # so branch index - 1 first differs from this one at the helper
+            # of index's lowest set bit; the levels above it are reused.
+            first_changed = k - (index & -index).bit_length() if index else 0
+            for j in range(first_changed, k):
+                proj = proj_collab[j][outcomes[j]]
+                np.matmul(proj, root if j == 0 else levels[j - 1], out=scratch)
+                np.matmul(scratch, proj, out=levels[j])
+            bob = _partial_trace_matrix(levels[-1], [cfg.bob_qubit], m)
             prob = float(bob.trace().real)
             if prob <= ZERO_BRANCH_ATOL:
                 reports.append(
@@ -514,6 +552,21 @@ def _reset_to_zero(state: DensityMatrix) -> list[tuple[float, np.ndarray]]:
 
 
 _OUTCOME_STATES = {"+": KET_PLUS, "-": KET_MINUS}
+_ZERO_STATE = np.outer(KET_0, KET_0.conj())
+
+
+def _recycled_density(
+    secret: Secret, reset_states: Sequence[np.ndarray], n: int
+) -> np.ndarray:
+    """Encoded register rebuilt from a fresh ``|+>`` and the reset helper qubits."""
+    resource = linalg.tensor_all([np.outer(KET_PLUS, KET_PLUS.conj()), *reset_states])
+    for q in range(n - 1):
+        gate = _cnot(q, q + 1, n)
+        resource = gate @ resource @ dagger(gate)
+    sv = secret.vector()
+    rho = np.kron(np.outer(sv, sv.conj()), resource)
+    gate = _cnot(0, 1, n + 1)
+    return gate @ rho @ dagger(gate)
 
 
 def advance(
@@ -523,62 +576,49 @@ def advance(
 
     The returned qubits (optionally noisy on the way back) are measured and
     flipped to ``|0>``, a fresh ``|+>`` heads the XOR chain that rebuilds
-    the resource, and the next iteration runs. Reset sub-branches whose
-    register states coincide are merged; since every reset lands exactly on
-    ``|0>``, the merge is exact.
+    the resource, and the next iteration runs once, scaled by the total
+    weight of every carried branch and reset outcome. A returned qubit is
+    determined by its announced label, so the return trip and the reset are
+    computed once per label (``+``, ``-``), and each surviving reset state is
+    checked to be ``|0><0|`` to within ``LINALG_ATOL`` per entry (the
+    outcome-1 reset divides and flips, so its diagonal may read 1 - 2^-53).
+    That check is what makes recycling exact: every carried branch then
+    re-enters one register state, built from the first branch's reset states.
     """
     if prev.parties != cfg.parties:
         raise ValueError("carry-over state and config disagree on party count")
     n = cfg.parties
+    if not prev.branches:
+        return ProtocolState(n, prev.next_iteration + 1, ()), []
 
-    # Weight of each distinct post-reset register state. The reset makes all
-    # of them identical, but the bookkeeping below does not assume it.
-    merged: list[tuple[float, tuple[np.ndarray, ...]]] = []
-    for weight, outcomes in prev.branches:
-        per_qubit: list[list[tuple[float, np.ndarray]]] = []
-        for o in outcomes:
-            vec = _OUTCOME_STATES[o]
-            returned = DensityMatrix(np.outer(vec, vec.conj()))
-            if cfg.return_channel is not None:
-                returned = DensityMatrix(
-                    _apply_channel_matrix(
-                        returned.matrix, cfg.return_channel.channel(), 0, 1
-                    )
-                )
-            per_qubit.append(_reset_to_zero(returned))
-        for combo in itertools.product(*per_qubit):
-            sub_prob = weight * float(np.prod([p for p, _ in combo]))
-            states = tuple(s for _, s in combo)
-            for i, (w, existing) in enumerate(merged):
-                if all(
-                    np.allclose(a, b, atol=1e-12) for a, b in zip(existing, states)
-                ):
-                    merged[i] = (w + sub_prob, existing)
-                    break
-            else:
-                merged.append((sub_prob, states))
+    resets: dict[str, list[tuple[float, np.ndarray]]] = {}
+    for label, vec in _OUTCOME_STATES.items():
+        returned = DensityMatrix(np.outer(vec, vec.conj()))
+        if cfg.return_channel is not None:
+            returned = DensityMatrix(
+                _apply_channel_matrix(returned.matrix, cfg.return_channel.channel(), 0, 1)
+            )
+        resets[label] = _reset_to_zero(returned)
+        if not all(
+            np.allclose(s, _ZERO_STATE, rtol=0.0, atol=LINALG_ATOL) for _, s in resets[label]
+        ):
+            raise RuntimeError(f"reset of a returned {label!r} qubit did not land on |0>")
 
-    all_reports: list[IterationReport] = []
-    next_branches: list[tuple[float, tuple[str, ...]]] = []
-    for weight, reset_states in merged:
-        resource = linalg.tensor_all(
-            [np.outer(KET_PLUS, KET_PLUS.conj()), *reset_states]
-        )
-        for q in range(n - 1):
-            gate = _cnot(q, q + 1, n)
-            resource = gate @ resource @ dagger(gate)
-        sv = secret.vector()
-        rho = np.kron(np.outer(sv, sv.conj()), resource)
-        gate = _cnot(0, 1, n + 1)
-        rho = gate @ rho @ dagger(gate)
-        reports, chain = _execute_iteration(
-            rho, cfg, secret, iteration_index=prev.next_iteration, scale=weight
-        )
-        all_reports.extend(reports)
-        next_branches.extend(chain)
+    # One term per branch and reset combination, summed in that order: the
+    # order fixes the float result, so it stays an explicit loop.
+    weight = 0.0
+    for w, outcomes in prev.branches:
+        for combo in itertools.product(*(resets[o] for o in outcomes)):
+            weight += w * float(np.prod([p for p, _ in combo]))
 
-    state = ProtocolState(n, prev.next_iteration + 1, tuple(next_branches))
-    return state, all_reports
+    reports, chain = _execute_iteration(
+        _recycled_density(secret, [resets[o][0][1] for o in prev.branches[0][1]], n),
+        cfg,
+        secret,
+        iteration_index=prev.next_iteration,
+        scale=weight,
+    )
+    return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
 
 
 def recycle_and_rerun(

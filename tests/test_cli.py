@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ class TestRunCommand:
         )
         outputs = {self.run_cli("run", "--config", str(cfg))[1] for _ in range(3)}
         assert len(outputs) == 1
+
+    def test_report_bytes_match_golden(self):
+        # Three rounds at 6 qubits with adc noise, protection and adc return
+        # noise: any change to the order of the simulator's floating-point
+        # operations shows up here as a byte difference.
+        data = Path(__file__).parent / "data"
+        code, out = self.run_cli("run", "--config", str(data / "run_5p3i.cfg"))
+        assert code == 0
+        assert out.encode() == (data / "run_5p3i.stdout").read_bytes()
+
+    def test_register_beyond_eight_qubits_is_a_validation_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("parties = 40\nsecret_k = 0.5\n")
+        assert self.run_cli("run", "--config", str(cfg))[0] == 3
+        cfg.write_text("parties = 8\nsecret_k = 0.5\n")
+        assert self.run_cli("run", "--config", str(cfg))[0] == 3
 
 
 class TestSweepCommand:
