@@ -71,7 +71,6 @@ from .protocol import (
     encode_secret,
     make_resource,
     measure_projective,
-    recycle_and_rerun,
     run_iteration,
     run_protocol,
     start_chain,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ __all__ = [
     "measure_projective",
     "correction",
     "run_iteration",
-    "recycle_and_rerun",
     "advance",
     "start_chain",
     "run_protocol",
@@ -288,26 +287,27 @@ _CORRECTION_LABELS: dict[tuple[int, int], str] = {
 }
 
 
+def _correction_key(alice: int, collaborators: Sequence[str]) -> tuple[int, int]:
+    """Validated ``(dealer bit, parity of '-' outcomes)`` correction key."""
+    if alice not in (0, 1):
+        raise ValueError(f"dealer outcome must be 0 or 1, got {alice!r}")
+    for c in collaborators:
+        if c not in ("+", "-"):
+            raise ValueError(f"helper outcome must be '+' or '-', got {c!r}")
+    return alice, collaborators.count("-") % 2
+
+
 def correction(alice: int, collaborators: Sequence[str]) -> np.ndarray:
     """Table lookup of the reconstructor's Pauli correction.
 
     ``alice`` is the dealer's computational-basis outcome (0 or 1),
     ``collaborators`` the helpers' Hadamard-basis outcomes (``"+"``/``"-"``).
     """
-    if alice not in (0, 1):
-        raise ValueError(f"dealer outcome must be 0 or 1, got {alice!r}")
-    parity = 0
-    for c in collaborators:
-        if c == "-":
-            parity ^= 1
-        elif c != "+":
-            raise ValueError(f"helper outcome must be '+' or '-', got {c!r}")
-    return CORRECTION_TABLE[(alice, parity)]
+    return CORRECTION_TABLE[_correction_key(alice, collaborators)]
 
 
 def _correction_label(alice: int, collaborators: Sequence[str]) -> str:
-    parity = sum(1 for c in collaborators if c == "-") % 2
-    return _CORRECTION_LABELS[(alice, parity)]
+    return _CORRECTION_LABELS[_correction_key(alice, collaborators)]
 
 
 def _cnot(control: int, target: int, m: int) -> np.ndarray:
@@ -355,6 +355,12 @@ _BASIS_PROJECTORS = {
 }
 
 
+def _measurements(cfg: ProtocolConfig) -> list[tuple[int, str]]:
+    """``(qubit, basis)`` of every protocol measurement, in announcement
+    order: the dealer's computational one, then each helper's Hadamard one."""
+    return [(ALICE_QUBIT, "computational")] + [(q, "hadamard") for q in cfg.collaborator_qubits]
+
+
 def withheld_outcome_state(state: DensityMatrix, cfg: ProtocolConfig) -> DensityMatrix:
     """Register state once all protocol measurements are done but no outcome
     has been announced.
@@ -367,10 +373,7 @@ def withheld_outcome_state(state: DensityMatrix, cfg: ProtocolConfig) -> Density
     """
     mat = state.matrix
     m = cfg.num_qubits
-    to_measure = [(ALICE_QUBIT, "computational")] + [
-        (q, "hadamard") for q in cfg.collaborator_qubits
-    ]
-    for qubit, basis in to_measure:
+    for qubit, basis in _measurements(cfg):
         acc = np.zeros_like(mat)
         for _, proj in _BASIS_PROJECTORS[basis]:
             full = embed(proj, [qubit], m)
@@ -402,6 +405,18 @@ def measure_projective(
     return records
 
 
+def _project_branches(mat: np.ndarray, projectors: Sequence, labels: tuple = ()) -> Iterator:
+    """Yield ``(labels, projected register)`` for every outcome branch,
+    depth-first in ``itertools.product`` order. ``projectors`` holds one
+    ``((label, full-register projector), ...)`` tuple per measured qubit;
+    each prefix's ``P @ X @ P`` sandwich is evaluated once."""
+    if not projectors:
+        yield labels, mat
+        return
+    for label, proj in projectors[0]:
+        yield from _project_branches(proj @ mat @ proj, projectors[1:], labels + (label,))
+
+
 def _execute_iteration(
     rho: np.ndarray,
     cfg: ProtocolConfig,
@@ -415,14 +430,11 @@ def _execute_iteration(
     history that produced ``rho``). Returns the per-branch reports plus the
     surviving branches for the next iteration.
 
-    Branches are walked as a prefix tree. The register after the dealer's
-    projection and the first d helpers' projections is shared by every
-    branch that agrees on those d outcomes, so it is computed once: moving
-    to the next branch in ``itertools.product`` order redoes only the
-    projections from the first changed outcome down. Each projection is
-    the same ``P @ X @ P`` product the flat per-branch loop would compute,
-    so every result is bitwise the same; the k helpers cost 2 + 4 + ... +
-    2^k sandwiches per dealer outcome instead of k * 2^k.
+    ``_project_branches`` walks the measurements depth-first, so branches
+    that agree on their first d outcomes share one projected register. Each
+    projection is the ``P @ X @ P`` product the flat per-branch loop would
+    compute, so results are bitwise the same, at 2 + 4 + ... + 2^(k+1)
+    sandwiches for k helpers instead of 2 + k * 2^(k+1).
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
@@ -444,67 +456,36 @@ def _execute_iteration(
             e = embed(rev.matrix, [q], m)
             rho = e @ rho @ dagger(e)
 
-    proj_alice = {
-        o: embed(p, [ALICE_QUBIT], m) for o, p in _BASIS_PROJECTORS["computational"]
-    }
-    proj_collab = [
-        {o: embed(p, [q], m) for o, p in _BASIS_PROJECTORS["hadamard"]}
-        for q in cfg.collaborator_qubits
+    projectors = [
+        tuple((o, embed(p, [q], m)) for o, p in _BASIS_PROJECTORS[basis])
+        for q, basis in _measurements(cfg)
     ]
-    # Only the two dealer roots are needed below: free the unprojected
-    # register and the dealer projectors before the level buffers exist.
-    roots = [proj_alice[str(a)] @ rho @ proj_alice[str(a)] for a in (0, 1)]
-    del rho, proj_alice
-
-    # levels[j] holds the register after the dealer's and the first j + 1
-    # helpers' projections; scratch holds the left half of a sandwich.
-    k = len(proj_collab)
-    levels = [np.empty_like(roots[0]) for _ in range(k)]
-    scratch = np.empty_like(roots[0])
-
     secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
-    for a, root in enumerate(roots):
-        for index, outcomes in enumerate(itertools.product("+-", repeat=k)):
-            # Branches count in binary ("+" = 0, helper 0 most significant),
-            # so branch index - 1 first differs from this one at the helper
-            # of index's lowest set bit; the levels above it are reused.
-            first_changed = k - (index & -index).bit_length() if index else 0
-            for j in range(first_changed, k):
-                proj = proj_collab[j][outcomes[j]]
-                np.matmul(proj, root if j == 0 else levels[j - 1], out=scratch)
-                np.matmul(scratch, proj, out=levels[j])
-            bob = _partial_trace_matrix(levels[-1], [cfg.bob_qubit], m)
-            prob = float(bob.trace().real)
-            if prob <= ZERO_BRANCH_ATOL:
-                reports.append(
-                    IterationReport(
-                        iteration_index=iteration_index,
-                        alice_outcome=a,
-                        collaborator_outcomes=outcomes,
-                        correction_applied=_correction_label(a, outcomes),
-                        reconstructed_state=None,
-                        fidelity=None,
-                        branch_probability=0.0,
-                    )
-                )
-                continue
+    for labels, branch in _project_branches(rho, projectors):
+        a, outcomes = int(labels[0]), labels[1:]
+        bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
+        prob = float(bob.trace().real)
+        if prob <= ZERO_BRANCH_ATOL:
+            state, fid, weight = None, None, 0.0
+        else:
             u = correction(a, outcomes)
             fixed = u @ (bob / prob) @ dagger(u)
             fid = float(np.real(secret_vec.conj() @ fixed @ secret_vec))
-            reports.append(
-                IterationReport(
-                    iteration_index=iteration_index,
-                    alice_outcome=a,
-                    collaborator_outcomes=outcomes,
-                    correction_applied=_correction_label(a, outcomes),
-                    reconstructed_state=DensityMatrix(fixed),
-                    fidelity=fid,
-                    branch_probability=prob * scale,
-                )
+            state, weight = DensityMatrix(fixed), prob * scale
+            chain.append((weight, outcomes))
+        reports.append(
+            IterationReport(
+                iteration_index=iteration_index,
+                alice_outcome=a,
+                collaborator_outcomes=outcomes,
+                correction_applied=_correction_label(a, outcomes),
+                reconstructed_state=state,
+                fidelity=fid,
+                branch_probability=weight,
             )
-            chain.append((prob * scale, outcomes))
+        )
     return reports, chain
 
 
@@ -520,10 +501,7 @@ def run_iteration(cfg: ProtocolConfig, secret: Secret) -> list[IterationReport]:
     Without protection the branch probabilities sum to one; with it they
     sum to the post-selection success probability.
     """
-    reports, _ = _execute_iteration(
-        _encoded_density(secret, cfg.parties), cfg, secret, iteration_index=0, scale=1.0
-    )
-    return reports
+    return start_chain(cfg, secret)[1]
 
 
 def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[ProtocolState, list[IterationReport]]:
@@ -539,15 +517,13 @@ def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[Prot
 def _reset_to_zero(state: DensityMatrix) -> list[tuple[float, np.ndarray]]:
     """Dealer's reset of a returned qubit: measure, flip to |0> if needed."""
     out = []
-    for outcome, proj in _BASIS_PROJECTORS["computational"]:
-        projected = proj @ state.matrix @ proj
-        prob = float(projected.trace().real)
-        if prob <= ZERO_BRANCH_ATOL:
+    for rec in measure_projective(state, 0, "computational"):
+        if rec.state is None:
             continue
-        fixed = projected / prob
-        if outcome == "1":
+        fixed = rec.state.matrix / rec.probability
+        if rec.outcome == "1":
             fixed = PAULI_X @ fixed @ PAULI_X
-        out.append((prob, fixed))
+        out.append((rec.probability, fixed))
     return out
 
 
@@ -619,14 +595,6 @@ def advance(
         scale=weight,
     )
     return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
-
-
-def recycle_and_rerun(
-    prev: ProtocolState, next_secret: Secret, cfg: ProtocolConfig
-) -> list[IterationReport]:
-    """Reports of the next iteration after recycling (see ``advance``)."""
-    _, reports = advance(prev, next_secret, cfg)
-    return reports
 
 
 def run_protocol(cfg: ProtocolConfig) -> list[list[IterationReport]]:

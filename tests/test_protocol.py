@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,6 @@ from qss_sim.protocol import (
     encode_secret,
     make_resource,
     measure_projective,
-    recycle_and_rerun,
     run_iteration,
     run_protocol,
     start_chain,
@@ -301,7 +302,7 @@ class TestSequentialRuns:
         cfg1 = ProtocolConfig(parties=2, secrets=(s1,), channel=NoiseSpec("adc", 0.9))
         cfg2 = ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.3))
         state, _ = start_chain(cfg1, s1)
-        chained = recycle_and_rerun(state, s2, cfg2)
+        _, chained = advance(state, s2, cfg2)
         single = run_iteration(cfg2, s2)
         by_branch = {(r.alice_outcome, r.collaborator_outcomes): r for r in single}
         for r in chained:
@@ -320,7 +321,7 @@ class TestSequentialRuns:
             return_channel=NoiseSpec("adc", 0.8),
         )
         state, _ = start_chain(cfg1, s1)
-        chained = recycle_and_rerun(state, s2, cfg2)
+        _, chained = advance(state, s2, cfg2)
         single = run_iteration(
             ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.4)), s2
         )
@@ -353,6 +354,25 @@ class TestSequentialRuns:
             assert {r.iteration_index for r in reports} == {i}
             for r in reports:
                 assert r.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_run_leaves_no_reference_cycles(self):
+        # Registers and projectors must be freed by reference counting when
+        # a round ends; a cycle would keep them alive until a GC pass.
+        cfg = ProtocolConfig(
+            parties=4,
+            secrets=(Secret.from_k(0.3), Secret.from_k(0.7)),
+            iterations=2,
+            channel=NoiseSpec("adc", 0.4),
+            wmrqm=Wmrqm(0.3, 0.2),
+            return_channel=NoiseSpec("adc", 0.5),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            run_protocol(cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConfigValidation:
