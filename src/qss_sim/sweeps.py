@@ -23,7 +23,9 @@ import numpy as np
 from . import analysis
 from .analysis import FORMULAS, DomainError
 from .config import SWEEP_PARAMS, ConfigValidationError, SweepSpec
-from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, aggregate_fidelity, run_iteration
+from .protocol import (
+    NoiseSpec, ProtocolConfig, Secret, Wmrqm, aggregate_fidelity, run_iteration, success_probability
+)
 
 __all__ = ["QUANTITIES", "Quantity", "run_sweep", "write_csv", "format_float"]
 
@@ -48,7 +50,11 @@ class Quantity:
 
 
 def _sim_fidelity(bindings: dict[str, float | str]) -> float:
-    """Brute-force protocol fidelity (probability-weighted over branches)."""
+    """Brute-force protocol fidelity (probability-weighted over branches).
+
+    Undefined, as a ``DomainError``, where ``r = r_opt`` did not resolve
+    (``nan``) or where no branch survives the post-selection.
+    """
     kind = bindings.get("channel", "none")
     if kind not in ("pdc", "adc", "none"):
         raise ConfigValidationError(f"sim_fidelity channel must be pdc, adc or none, got {kind!r}")
@@ -56,6 +62,8 @@ def _sim_fidelity(bindings: dict[str, float | str]) -> float:
         raise ConfigValidationError("sim_fidelity with a channel needs strength")
     if ("s" in bindings) != ("r" in bindings):
         raise ConfigValidationError("sim_fidelity needs s and r together or neither")
+    if "r" in bindings and math.isnan(float(bindings["r"])):
+        raise DomainError("reversal strength r = r_opt is undefined here")
     secret = Secret.from_k(float(bindings["k"]))
     cfg = ProtocolConfig(
         parties=2,
@@ -63,7 +71,10 @@ def _sim_fidelity(bindings: dict[str, float | str]) -> float:
         channel=None if kind == "none" else NoiseSpec(str(kind), float(bindings["strength"])),
         wmrqm=Wmrqm(float(bindings["s"]), float(bindings["r"])) if "s" in bindings else None,
     )
-    return aggregate_fidelity(run_iteration(cfg, secret))
+    reports = run_iteration(cfg, secret)
+    if success_probability(reports) <= 0.0:
+        raise DomainError("no branch survives the post-selection")
+    return aggregate_fidelity(reports)
 
 
 def _formula_quantity(name: str) -> Quantity:
@@ -126,16 +137,12 @@ def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[
             resolved["r"] = analysis.r_opt(
                 float(resolved["k"]), float(resolved["s"]), float(resolved["p"])
             )
-        except (DomainError, KeyError):
+        except DomainError:
             resolved["r"] = math.nan
     for q in spec.quantities:
         try:
             value = QUANTITIES[q].evaluate(resolved)
-        except ConfigValidationError:
-            raise
         except DomainError:
-            value = math.nan
-        except (ValueError, ZeroDivisionError):
             value = math.nan
         if isinstance(value, float) and math.isnan(value):
             warnings += 1

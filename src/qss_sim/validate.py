@@ -11,7 +11,9 @@ Tolerances here are fixed per formula and deliberately ignore the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,6 +24,15 @@ from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, run_iteration
 from .quadrature import gauss_legendre
 
 __all__ = ["CheckResult", "run_all", "render_report"]
+
+# Closed forms that ``run_all(formulas=...)`` may replace, by analysis name.
+_OVERRIDABLE = (
+    "f_pd", "f_ad", "f_ad_outcome1", "f0_ww", "f1_ww", "sp1", "sp2",
+    "avg_f_pd", "avg_f_ad", "avg_f1", "r_opt",
+)
+
+# Branches of a 2-receiver run as (dealer outcome, helper outcome).
+_BRANCHES = ((0, "+"), (0, "-"), (1, "+"), (1, "-"))
 
 
 @dataclass(frozen=True)
@@ -38,176 +49,131 @@ class CheckResult:
     informational: bool = False
 
 
-def _branch_fidelities(
-    k: float,
-    channel: NoiseSpec | None,
-    wmrqm: Wmrqm | None,
-) -> dict[tuple[int, str], tuple[float, float]]:
-    """Simulator (fidelity, probability) per branch of a 2-receiver run."""
+@lru_cache(maxsize=None)
+def _branch_fidelities(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm | None) -> dict:
+    """Simulator (fidelity, probability) per branch of a 2-receiver run.
+
+    This is the suites' only simulator entry point, and it is memoized
+    because suites share configurations: f0_ww, f1_ww and sp2 read the
+    same adc + protection grid, f_ad and its outcome-1 form the same adc
+    grid, and the phase-damping check integrates two views of each run.
+    The memo lives for one ``run_all`` call: it is cleared when the call
+    starts and when it returns. Within a run each configuration is
+    simulated once; a memo kept across runs would let a repeated
+    ``validate`` in the same process skip the simulator and check nothing
+    new. Every caller shares the returned dict and only reads it.
+    """
     secret = Secret.from_k(k)
     cfg = ProtocolConfig(parties=2, secrets=(secret,), channel=channel, wmrqm=wmrqm)
-    out = {}
-    for r in run_iteration(cfg, secret):
-        out[(r.alice_outcome, r.collaborator_outcomes[0])] = (
+    return {
+        (r.alice_outcome, r.collaborator_outcomes[0]): (
             r.fidelity if r.fidelity is not None else float("nan"),
             r.branch_probability,
         )
-    return out
+        for r in run_iteration(cfg, secret)
+    }
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
+def _survival(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm) -> float:
+    """Total simulated branch probability, summed in branch order."""
+    return sum(p for _, p in _branch_fidelities(k, channel, wmrqm).values())
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    return np.linspace(lo, hi, n).tolist()
+
+
+def _worst(name: str, tol: float, residuals: Iterable[tuple[str, float]]) -> CheckResult:
+    """Reduce ``(point label, residual)`` pairs to the suite's result.
+
+    The first point with the largest residual is the worst point; a
+    ``nan`` residual never becomes the worst.
+    """
+    worst, worst_at, count = 0.0, "", 0
+    for at, res in residuals:
+        count += 1
+        if res > worst:
+            worst, worst_at = res, at
+    return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
 
 
 def _suite_branch_formula(
-    name: str,
-    kind: str,
-    formula: Callable[[float, float], float],
-    branches: Sequence[tuple[int, str]],
-    n: int,
-    tol: float,
+    name: str, kind: str, formula: Callable, branches: Sequence[tuple[int, str]], n: int, tol: float
 ) -> CheckResult:
-    worst, worst_at, count = 0.0, "", 0
-    for k in _grid(0.0, 1.0, n):
-        for strength in _grid(0.0, 1.0, n):
-            sim = _branch_fidelities(float(k), NoiseSpec(kind, float(strength)), None)
-            expected = formula(float(k), float(strength))
+    def residuals():
+        for k, q in product(_grid(0.0, 1.0, n), repeat=2):
+            sim = _branch_fidelities(k, NoiseSpec(kind, q), None)
+            expected = formula(k, q)
             for branch in branches:
-                count += 1
-                res = abs(sim[branch][0] - expected)
-                if res > worst:
-                    worst, worst_at = res, f"k={k:g}, strength={strength:g}, branch={branch}"
-    return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
+                yield f"k={k:g}, strength={q:g}, branch={branch}", abs(sim[branch][0] - expected)
+
+    return _worst(name, tol, residuals())
 
 
 def _suite_wmrqm_fidelity(
-    name: str,
-    formula_name: str,
-    formulas: dict[str, Callable],
-    n: int,
-    tol: float,
+    name: str, formula: Callable, outcome: int, n: int, tol: float
 ) -> CheckResult:
-    f0 = formulas.get("f0_ww", analysis.f0_ww)
-    f1 = formulas.get("f1_ww", analysis.f1_ww)
-    worst, worst_at, count = 0.0, "", 0
-    vals = _grid(0.1, 0.9, n)
-    for k in vals:
-        for s in vals:
-            for r in vals:
-                for p in vals:
-                    sim = _branch_fidelities(
-                        float(k), NoiseSpec("adc", float(p)), Wmrqm(float(s), float(r))
-                    )
-                    if formula_name == "f0_ww":
-                        expected = f0(float(k), float(s), float(r), float(p))
-                        pairs = [((0, "+"), expected), ((0, "-"), expected)]
-                    else:
-                        expected = f1(float(k), float(r), float(p))
-                        pairs = [((1, "+"), expected), ((1, "-"), expected)]
-                    for branch, want in pairs:
-                        count += 1
-                        res = abs(sim[branch][0] - want)
-                        if res > worst:
-                            worst, worst_at = res, f"k={k:g}, s={s:g}, r={r:g}, p={p:g}, branch={branch}"
-    return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
+    """``formula(k, s, r, p)`` against both branches of one dealer outcome."""
+
+    def residuals():
+        for k, s, r, p in product(_grid(0.1, 0.9, n), repeat=4):
+            sim = _branch_fidelities(k, NoiseSpec("adc", p), Wmrqm(s, r))
+            expected = formula(k, s, r, p)
+            for branch in ((outcome, "+"), (outcome, "-")):
+                at = f"k={k:g}, s={s:g}, r={r:g}, p={p:g}, branch={branch}"
+                yield at, abs(sim[branch][0] - expected)
+
+    return _worst(name, tol, residuals())
 
 
-def _suite_success_probabilities(
-    name: str, formulas: dict[str, Callable], n: int, tol: float, which: str
-) -> CheckResult:
-    sp1 = formulas.get("sp1", analysis.sp1)
-    sp2 = formulas.get("sp2", analysis.sp2)
-    worst, worst_at, count = 0.0, "", 0
-    vals = _grid(0.1, 0.9, n)
-    if which == "sp1":
-        for k in _grid(0.0, 1.0, 11):
-            for s in _grid(0.0, 1.0, 11):
-                secret = Secret.from_k(float(k))
-                cfg = ProtocolConfig(
-                    parties=2, secrets=(secret,), wmrqm=Wmrqm(float(s), 0.0)
-                )
-                total = sum(r.branch_probability for r in run_iteration(cfg, secret))
-                count += 1
-                res = abs(total - sp1(float(k), float(s)))
-                if res > worst:
-                    worst, worst_at = res, f"k={k:g}, s={s:g}"
-    else:
-        for k in vals:
-            for s in vals:
-                for r in vals:
-                    for p in vals:
-                        secret = Secret.from_k(float(k))
-                        cfg = ProtocolConfig(
-                            parties=2,
-                            secrets=(secret,),
-                            channel=NoiseSpec("adc", float(p)),
-                            wmrqm=Wmrqm(float(s), float(r)),
-                        )
-                        total = sum(
-                            rep.branch_probability for rep in run_iteration(cfg, secret)
-                        )
-                        count += 1
-                        res = abs(total - sp2(float(k), float(s), float(r), float(p)))
-                        if res > worst:
-                            worst, worst_at = res, f"k={k:g}, s={s:g}, r={r:g}, p={p:g}"
-    return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
+def _suite_sp1(sp1: Callable, tol: float) -> CheckResult:
+    return _worst("sp1 vs simulated trace", tol, (
+        (f"k={k:g}, s={s:g}", abs(_survival(k, None, Wmrqm(s, 0.0)) - sp1(k, s)))
+        for k, s in product(_grid(0.0, 1.0, 11), repeat=2)
+    ))
+
+
+def _suite_sp2(sp2: Callable, n: int, tol: float) -> CheckResult:
+    return _worst("sp2 vs simulated trace", tol, (
+        (
+            f"k={k:g}, s={s:g}, r={r:g}, p={p:g}",
+            abs(_survival(k, NoiseSpec("adc", p), Wmrqm(s, r)) - sp2(k, s, r, p)),
+        )
+        for k, s, r, p in product(_grid(0.1, 0.9, n), repeat=4)
+    ))
 
 
 def _suite_average(
-    name: str,
-    average: Callable[[float], float],
-    pointwise: Callable[[float, float], float],
-    n: int,
-    tol: float,
+    name: str, average: Callable, pointwise: Callable, n: int, tol: float
 ) -> CheckResult:
     """Closed-form average over k versus 64-node quadrature of the pointwise form."""
-    worst, worst_at, count = 0.0, "", 0
-    for strength in _grid(0.0, 1.0, n):
-        integral = gauss_legendre(lambda k: pointwise(k, float(strength)), 0.0, 1.0)
-        count += 1
-        res = abs(integral - average(float(strength)))
-        if res > worst:
-            worst, worst_at = res, f"strength={strength:g}"
-    return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
+    return _worst(name, tol, (
+        (f"strength={q:g}", abs(gauss_legendre(lambda k: pointwise(k, q), 0.0, 1.0) - average(q)))
+        for q in _grid(0.0, 1.0, n)
+    ))
 
 
-def _suite_avg_f1(formulas: dict[str, Callable], n: int, tol: float) -> CheckResult:
-    f1 = formulas.get("f1_ww", analysis.f1_ww)
-    avg = formulas.get("avg_f1", analysis.avg_f1)
-    worst, worst_at, count = 0.0, "", 0
-    for p in _grid(0.0, 1.0, n):
-        for r in _grid(0.0, 0.95, n):
-            integral = gauss_legendre(lambda k: f1(k, float(r), float(p)), 0.0, 1.0)
-            count += 1
-            res = abs(integral - avg(float(p), float(r)))
-            if res > worst:
-                worst, worst_at = res, f"p={p:g}, r={r:g}"
-    return CheckResult("avg_f1 vs quadrature", count, worst, tol, worst <= tol, worst_at)
+def _suite_avg_f1(f1: Callable, avg: Callable, n: int, tol: float) -> CheckResult:
+    return _worst("avg_f1 vs quadrature", tol, (
+        (f"p={p:g}, r={r:g}", abs(gauss_legendre(lambda k: f1(k, r, p), 0.0, 1.0) - avg(p, r)))
+        for p, r in product(_grid(0.0, 1.0, n), _grid(0.0, 0.95, n))
+    ))
 
 
-def _suite_r_opt(formulas: dict[str, Callable], n: int, tol: float) -> CheckResult:
-    ropt = formulas.get("r_opt", analysis.r_opt)
-    worst, worst_at, count = 0.0, "", 0
-    for p in _grid(0.1, 0.9, n):
-        for s in _grid(0.0, 0.8, n):
-            lower, _ = analysis.region_bounds(float(p), float(s))
+def _suite_r_opt(ropt: Callable, n: int, tol: float) -> CheckResult:
+    def residuals():
+        for p, s in product(_grid(0.1, 0.9, n), _grid(0.0, 0.8, n)):
+            lower, _ = analysis.region_bounds(p, s)
             for k in _grid(lower + 0.02, 0.98, n):
-                if not analysis.in_validity_region(float(k), float(s), float(p)):
+                if not analysis.in_validity_region(k, s, p):
                     continue
-                closed = ropt(float(k), float(s), float(p))
+                closed = ropt(k, s, p)
                 numeric, _ = maximize_scalar(
-                    ScalarObjective(
-                        lambda r: analysis.f0_ww(float(k), float(s), r, float(p)),
-                        0.0,
-                        1.0,
-                        tolerance=1e-10,
-                    )
+                    ScalarObjective(lambda r: analysis.f0_ww(k, s, r, p), 0.0, 1.0, tolerance=1e-10)
                 )
-                count += 1
-                res = abs(closed - numeric)
-                if res > worst:
-                    worst, worst_at = res, f"k={k:g}, s={s:g}, p={p:g}"
-    return CheckResult("r_opt vs numeric argmax", count, worst, tol, worst <= tol, worst_at)
+                yield f"k={k:g}, s={s:g}, p={p:g}", abs(closed - numeric)
+
+    return _worst("r_opt vs numeric argmax", tol, residuals())
 
 
 def _suite_avg_f_opt0_report(n: int) -> CheckResult:
@@ -217,63 +183,45 @@ def _suite_avg_f_opt0_report(n: int) -> CheckResult:
     strengths; the transcribed expression does not reproduce the integral
     it is supposed to equal, so the gap is reported, never asserted.
     """
-    worst, worst_at, count = 0.0, "", 0
-    for p in _grid(0.1, 0.9, n):
-        for s in _grid(0.0, 0.8, n):
-            quad = analysis.avg_f_opt0(float(p), float(s))
-            closed = analysis.avg_f_opt0_closed_form(float(p), float(s))
-            count += 1
-            res = abs(quad - closed)
-            if res > worst:
-                worst, worst_at = res, f"p={p:g}, s={s:g}"
-    return CheckResult(
-        "avg_f_opt0 quadrature vs transcribed closed form",
-        count,
-        worst,
-        1e-4,
-        True,
-        worst_at,
-        note=(
-            "documented discrepancy: the transcribed log-form expression does not "
-            "match the direct integral; the integral is the reference"
-        ),
-        informational=True,
+    result = _worst("avg_f_opt0 quadrature vs transcribed closed form", 1e-4, (
+        (f"p={p:g}, s={s:g}", abs(analysis.avg_f_opt0(p, s) - analysis.avg_f_opt0_closed_form(p, s)))
+        for p, s in product(_grid(0.1, 0.9, n), _grid(0.0, 0.8, n))
+    ))
+    note = (
+        "documented discrepancy: the transcribed log-form expression does not "
+        "match the direct integral; the integral is the reference"
     )
+    return replace(result, passed=True, note=note, informational=True)
 
 
 def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
     """Protection cannot raise the k-averaged fidelity under phase damping.
 
     Pointwise (fixed k) gains are possible for lopsided secrets, so the
-    meaningful comparison is the average over the secret family.
+    meaningful comparison is the average over the secret family. The gain
+    is signed: the note reports the largest one, negative when protection
+    only ever hurts.
     """
+
+    def aggregate(sim: dict) -> float:
+        return sum(f * p for f, p in sim.values()) / sum(p for _, p in sim.values())
+
     nodes = 21
-    worst_gain, worst_at, count = -np.inf, "", 0
+    views = (("branch0", lambda sim: sim[(0, "+")][0]), ("aggregate", aggregate))
+    gains = []
     for q in (0.25, 0.6, 1.0):
         base = gauss_legendre(lambda k: analysis.f_pd(k, q), 0.0, 1.0, n=nodes)
-        for s in np.linspace(0.0, 0.7, n):
-            for r in np.linspace(0.0, 0.7, n):
-                def protected_avg(which: str) -> float:
-                    def pointwise(k: float) -> float:
-                        sim = _branch_fidelities(
-                            k, NoiseSpec("pdc", q), Wmrqm(float(s), float(r))
-                        )
-                        if which == "branch0":
-                            return sim[(0, "+")][0]
-                        num = sum(f * p for f, p in sim.values())
-                        den = sum(p for _, p in sim.values())
-                        return num / den
-
-                    return gauss_legendre(pointwise, 0.0, 1.0, n=nodes)
-
-                for which in ("branch0", "aggregate"):
-                    count += 1
-                    gain = protected_avg(which) - base
-                    if gain > worst_gain:
-                        worst_gain, worst_at = gain, f"q={q:g}, s={s:g}, r={r:g}, {which}"
+        for s, r in product(_grid(0.0, 0.7, n), repeat=2):
+            for which, view in views:
+                protected = gauss_legendre(
+                    lambda k: view(_branch_fidelities(k, NoiseSpec("pdc", q), Wmrqm(s, r))),
+                    0.0, 1.0, n=nodes,
+                )
+                gains.append((protected - base, f"q={q:g}, s={s:g}, r={r:g}, {which}"))
+    worst_gain, worst_at = max(gains, key=lambda gain: gain[0])
     return CheckResult(
         "phase damping: protection never improves the average",
-        count,
+        len(gains),
         max(worst_gain, 0.0),
         1e-12,
         worst_gain <= 1e-12,
@@ -284,60 +232,44 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
 
 def run_all(grid: str = "coarse", formulas: dict[str, Callable] | None = None) -> list[CheckResult]:
     """Run every validation suite; ``formulas`` may override closed forms
-    by name (used by the negative-control tests)."""
-    formulas = formulas or {}
+    by name (used by the negative-control tests).
+
+    The simulator memo lives for exactly this call. It is cleared when the
+    call starts, so each call simulates every configuration once whatever
+    ran before it in the same process, and again when it returns, so no
+    simulator result outlives the run.
+    """
+    f = {name: (formulas or {}).get(name, getattr(analysis, name)) for name in _OVERRIDABLE}
+    f1 = f["f1_ww"]
     fine = grid == "fine"
-    n2 = 11 if fine else 6
-    n4 = 5 if fine else 3
-    results = [
-        _suite_branch_formula(
-            "f_pd vs simulator (all branches)",
-            "pdc",
-            formulas.get("f_pd", analysis.f_pd),
-            [(0, "+"), (0, "-"), (1, "+"), (1, "-")],
-            n2,
-            1e-12,
-        ),
-        _suite_branch_formula(
-            "f_ad vs simulator (outcome-0 branches)",
-            "adc",
-            formulas.get("f_ad", analysis.f_ad),
-            [(0, "+"), (0, "-")],
-            n2,
-            1e-12,
-        ),
-        _suite_branch_formula(
-            "f_ad_outcome1 vs simulator (outcome-1 branches)",
-            "adc",
-            formulas.get("f_ad_outcome1", analysis.f_ad_outcome1),
-            [(1, "+"), (1, "-")],
-            n2,
-            1e-12,
-        ),
-        _suite_wmrqm_fidelity("f0_ww vs simulator", "f0_ww", formulas, n4, 1e-10),
-        _suite_wmrqm_fidelity("f1_ww vs simulator", "f1_ww", formulas, n4, 1e-10),
-        _suite_success_probabilities("sp1 vs simulated trace", formulas, n2, 1e-12, "sp1"),
-        _suite_success_probabilities("sp2 vs simulated trace", formulas, n4, 1e-12, "sp2"),
-        _suite_average(
-            "avg_f_pd vs quadrature",
-            formulas.get("avg_f_pd", analysis.avg_f_pd),
-            formulas.get("f_pd", analysis.f_pd),
-            101 if fine else 21,
-            1e-9,
-        ),
-        _suite_average(
-            "avg_f_ad vs quadrature",
-            formulas.get("avg_f_ad", analysis.avg_f_ad),
-            formulas.get("f_ad", analysis.f_ad),
-            101 if fine else 21,
-            1e-9,
-        ),
-        _suite_avg_f1(formulas, 11 if fine else 6, 1e-9),
-        _suite_r_opt(formulas, 5 if fine else 3, 1e-6),
-        _suite_avg_f_opt0_report(4 if fine else 3),
-        _suite_pdc_wmrqm_spot_check(3),
-    ]
-    return results
+    n2, n4, n_avg = (11, 5, 101) if fine else (6, 3, 21)
+    _branch_fidelities.cache_clear()
+    try:
+        return [
+            _suite_branch_formula(
+                "f_pd vs simulator (all branches)", "pdc", f["f_pd"], _BRANCHES, n2, 1e-12
+            ),
+            _suite_branch_formula(
+                "f_ad vs simulator (outcome-0 branches)",
+                "adc", f["f_ad"], _BRANCHES[:2], n2, 1e-12,
+            ),
+            _suite_branch_formula(
+                "f_ad_outcome1 vs simulator (outcome-1 branches)",
+                "adc", f["f_ad_outcome1"], _BRANCHES[2:], n2, 1e-12,
+            ),
+            _suite_wmrqm_fidelity("f0_ww vs simulator", f["f0_ww"], 0, n4, 1e-10),
+            _suite_wmrqm_fidelity("f1_ww vs simulator", lambda k, s, r, p: f1(k, r, p), 1, n4, 1e-10),
+            _suite_sp1(f["sp1"], 1e-12),
+            _suite_sp2(f["sp2"], n4, 1e-12),
+            _suite_average("avg_f_pd vs quadrature", f["avg_f_pd"], f["f_pd"], n_avg, 1e-9),
+            _suite_average("avg_f_ad vs quadrature", f["avg_f_ad"], f["f_ad"], n_avg, 1e-9),
+            _suite_avg_f1(f1, f["avg_f1"], n2, 1e-9),
+            _suite_r_opt(f["r_opt"], n4, 1e-6),
+            _suite_avg_f_opt0_report(4 if fine else 3),
+            _suite_pdc_wmrqm_spot_check(3),
+        ]
+    finally:
+        _branch_fidelities.cache_clear()
 
 
 def render_report(results: Iterable[CheckResult]) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,44 @@ class TestSweepCommand:
         spec.write_text("quantity = sp2\naxis = s, 0, 1, 5\n")  # missing k, r, p
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
 
+    @staticmethod
+    def _sweep_values(tmp_path, text):
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
+        spec.write_text(text)
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return [line.split(",")[1] for line in lines[1:-1]], lines[-1]
+
+    def test_sim_fidelity_nan_where_r_opt_is_undefined(self, tmp_path):
+        # k = 0 and k = 1 lie outside the optimality region of (s, p)
+        values, footer = self._sweep_values(
+            tmp_path,
+            "quantity = sim_fidelity\naxis = k, 0, 1, 5\nchannel = adc\nstrength = 0.5\n"
+            "s = 0.3\nr = r_opt\np = 0.5\n",
+        )
+        assert values[0] == values[-1] == "nan"
+        assert "nan" not in values[1:-1]
+        assert footer == "# warnings: 2"
+
+    def test_sim_fidelity_nan_where_no_branch_survives(self, tmp_path):
+        values, footer = self._sweep_values(
+            tmp_path,
+            "quantity = sim_fidelity\naxis = k, 0, 1, 3\nchannel = adc\nstrength = 1\ns = 1\nr = 1\n",
+        )
+        assert values == ["nan"] * 3
+        assert footer == "# warnings: 3"
+
+    def test_plain_errors_are_not_written_as_nan(self, monkeypatch):
+        from qss_sim import sweeps
+
+        def broken(bindings):
+            return 1.0 / (bindings["q"] - bindings["q"])
+
+        monkeypatch.setitem(sweeps.QUANTITIES, "f_pd", sweeps.Quantity("f_pd", ("k", "q"), broken))
+        spec = sweep_spec_from_text("quantity = f_pd\naxis = k, 0, 1, 3\nq = 0.5\n")
+        with pytest.raises(ZeroDivisionError):
+            run_sweep(spec)
+
     def test_float_formatting(self):
         assert format_float(float("nan")) == "nan"
         assert format_float(float("inf")) == "inf"
@@ -314,7 +353,84 @@ class TestValidationMachinery:
         assert result.tolerance == 1e-12
         assert result.passed
 
+    def test_each_configuration_simulated_once_per_run(self, monkeypatch):
+        from qss_sim import validate as v
+
+        configs = []
+        real = v.run_iteration
+
+        def counting(cfg, secret):
+            configs.append((secret, cfg.channel, cfg.wmrqm))
+            return real(cfg, secret)
+
+        monkeypatch.setattr(v, "run_iteration", counting)
+        for _ in range(2):  # nothing is reused from the first run
+            configs.clear()
+            v.run_all(grid="coarse")
+            # 36 pdc + 36 adc + 81 adc with protection + 121 sp1 + 3 * 9 * 21 quadrature nodes
+            assert len(configs) == len(set(configs)) == 841
+
+    def test_every_override_reaches_its_suite(self):
+        from qss_sim import validate as v
+
+        shifts = {
+            "f_pd": 0.011, "f_ad": 0.013, "f_ad_outcome1": 0.017, "f0_ww": 0.019,
+            "f1_ww": 0.023, "sp1": 0.029, "sp2": 0.031, "avg_f_pd": 0.037,
+            "avg_f_ad": 0.041, "avg_f1": 0.043, "r_opt": 0.047,
+        }
+
+        def shifted(name):
+            fn, shift = getattr(analysis, name), shifts[name]
+            return lambda *args: fn(*args) + shift
+
+        expected = {
+            "f_pd vs simulator (all branches)": shifts["f_pd"],
+            "f_ad vs simulator (outcome-0 branches)": shifts["f_ad"],
+            "f_ad_outcome1 vs simulator (outcome-1 branches)": shifts["f_ad_outcome1"],
+            "f0_ww vs simulator": shifts["f0_ww"],
+            "f1_ww vs simulator": shifts["f1_ww"],
+            "sp1 vs simulated trace": shifts["sp1"],
+            "sp2 vs simulated trace": shifts["sp2"],
+            "avg_f_pd vs quadrature": shifts["avg_f_pd"] - shifts["f_pd"],
+            "avg_f_ad vs quadrature": shifts["avg_f_ad"] - shifts["f_ad"],
+            "avg_f1 vs quadrature": shifts["avg_f1"] - shifts["f1_ww"],
+            "r_opt vs numeric argmax": shifts["r_opt"],
+        }
+        perturbed = v.run_all(grid="coarse", formulas={name: shifted(name) for name in shifts})
+        plain = {r.name: r for r in v.run_all(grid="coarse")}
+        for result in perturbed:
+            if result.name in expected:
+                tol = 1e-6 if result.name.startswith("r_opt") else 1e-12
+                assert result.max_residual == pytest.approx(expected[result.name], abs=tol)
+                assert not result.passed
+            else:  # the closed-form report and the phase-damping check read no override
+                assert result == plain[result.name]
+        assert len(perturbed) == len(expected) + 2
+
     def test_bad_override_rejected(self, monkeypatch):
         monkeypatch.setenv("QSS_SIM_TOLERANCE_OVERRIDE", "banana")
         with pytest.raises(ValueError):
             equality_atol()
+
+
+class TestValidateCommand:
+    def test_all_suites_pass(self, capsys):
+        assert main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines[2:] if not line.startswith("    ")]
+        assert len(rows) == 13
+        assert all(row.endswith(("pass", "noted")) for row in rows)
+
+    def test_failing_suite_names_its_worst_point(self, monkeypatch, capsys):
+        f_ad = analysis.f_ad
+        monkeypatch.setattr(analysis, "f_ad", lambda k, q: f_ad(k, q) + 0.01)
+        assert main(["validate"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("f_ad vs simulator"))
+        assert lines[row].endswith("FAIL")
+        assert re.fullmatch(
+            r"    worst point: k=[0-9.e-]+, strength=[0-9.e-]+, branch=\(0, '[+-]'\)", lines[row + 1]
+        )
+        # the k-average of the shifted form fails with it
+        assert captured.err.strip() == "2 suite(s) failed"
