@@ -52,6 +52,7 @@ from .linalg import (
 from .optimize import (
     ScalarObjective,
     UnitaryObjective,
+    best_correction,
     correction_objective,
     maximize_scalar,
     optimize_correction,

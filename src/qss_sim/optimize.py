@@ -1,12 +1,14 @@
-"""Derivative-free maximization used to validate the closed-form optima.
+"""Maximization used to validate the closed-form optima.
 
-Two searches are provided:
+Three maximizers are provided:
 
 * a scalar maximizer (coarse grid plus golden-section refinement) used to
   check the closed-form optimal reversal strength against a numeric argmax;
-* a search over single-qubit correction unitaries (three-angle grid plus
-  coordinatewise refinement) used to check that the Pauli correction table
-  is optimal among secret-independent corrections.
+* a derivative-free search over single-qubit correction unitaries
+  (three-angle grid plus coordinatewise refinement) used to check that the
+  Pauli correction table is optimal among secret-independent corrections;
+* ``best_correction``, the exact global optimum of that same objective,
+  which certifies the table value without a search.
 
 The correction search scores a candidate unitary by the average fidelity it
 achieves over the family of unknown secrets: uniform in the population
@@ -18,17 +20,29 @@ full family the Pauli table is optimal. A secret-dependent unitary would
 score higher still (its ceiling is the largest eigenvalue of the branch
 state) but is not operationally available to a reconstructor who does not
 know the secret; ``max_eigenvalue`` exposes that bound as a diagnostic.
+
+The score of a unitary ``U`` is ``Re sum_n w_n <t_n| U rho_n U^dag |t_n>``
+over the quadrature nodes ``n``. It is a quadratic form in ``U``:
+``Re sum K[a,b,c,d] U[a,b] conj(U[d,c])`` with the 2x2x2x2 kernel
+``K = sum_n w_n conj(t_n[a]) rho_n[b,c] t_n[d]``, so the node axis is
+contracted once per objective and scoring a unitary costs 16 products
+whatever the number of nodes. Writing ``U = q0 I - i (q1 X + q2 Y + q3 Z)``
+for a unit quaternion ``q`` turns the score into ``q^T Q q`` with a real
+symmetric 4x4 ``Q``; its largest eigenvalue is the maximum over all
+unitaries (the quaternion form of the Kabsch / orthogonal Procrustes
+problem on the Bloch vectors), and its eigenvector is the optimal unitary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import dagger, su2
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, su2
 from .protocol import (
     IterationReport,
     NoiseSpec,
@@ -47,6 +61,7 @@ __all__ = [
     "maximize_scalar",
     "correction_objective",
     "optimize_correction",
+    "best_correction",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,18 +137,23 @@ class UnitaryObjective:
         """Average ``<psi| U rho U^dag |psi>`` over the family."""
         return float(self.batch_values(unitary[np.newaxis])[0])
 
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """``K[a,b,c,d] = sum_n w_n conj(t_n[a]) rho_n[b,c] t_n[d]``.
+
+        The objective with its node axis contracted, computed on first use.
+        """
+        return np.einsum(
+            "n,na,nbc,nd->abcd", self.weights, self.targets.conj(), self.states, self.targets
+        )
+
     def batch_values(self, unitaries: np.ndarray) -> np.ndarray:
-        """Vectorized ``value`` over a stack of unitaries."""
-        fid = np.einsum(
-            "na,gab,nbc,gdc,nd->gn",
-            self.targets.conj(),
-            unitaries,
-            self.states,
-            unitaries.conj(),
-            self.targets,
-            optimize=True,
-        ).real
-        return fid @ self.weights
+        """Vectorized ``value`` over a stack of unitaries.
+
+        Contracts each unitary against ``kernel``:
+        ``Re sum K[a,b,c,d] U[a,b] conj(U[d,c])``, with no per-node work.
+        """
+        return np.einsum("abcd,gab,gdc->g", self.kernel, unitaries, unitaries.conj()).real
 
 
 def _unit_interval_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +181,13 @@ def correction_objective(
     """
     if phases < 5:
         raise ValueError("need at least 5 phase nodes for an exact phase average")
+    if nodes < 1:
+        raise ValueError(f"need at least 1 population node, got {nodes}")
+    if len(collaborator_outcomes) != parties - 1:
+        raise ValueError(
+            f"{parties} parties need {parties - 1} helper outcome(s), "
+            f"got {len(collaborator_outcomes)}"
+        )
     ks, k_weights = _unit_interval_nodes(nodes)
     phis = 2.0 * np.pi * np.arange(phases) / phases
     table_u = correction(alice_outcome, collaborator_outcomes)
@@ -255,3 +282,24 @@ def optimize_correction(
         value=float(best_value),
         restart_values=tuple(float(v) for v, _ in results),
     )
+
+
+# U = sum_k q_k _QUATERNION_BASIS[k] is in SU(2) for every unit real q
+_QUATERNION_BASIS = np.array([ID2, -1j * PAULI_X, -1j * PAULI_Y, -1j * PAULI_Z])
+
+
+def best_correction(obj: UnitaryObjective) -> CorrectionSearchResult:
+    """Exact best secret-independent single-qubit correction for a branch.
+
+    The objective restricted to ``U = sum_k q_k B_k`` (``B = I, -iX, -iY,
+    -iZ``, ``q`` a unit real 4-vector) is ``q^T Q q``; every unitary is
+    such a ``U`` up to a global phase, which the objective ignores. So the
+    maximum over all unitaries is the largest eigenvalue of ``Q``, returned
+    as ``value``, and the unitary built from its eigenvector attains it. No
+    restarts are run, so ``restart_values`` is empty.
+    """
+    basis = _QUATERNION_BASIS
+    gram = np.einsum("abcd,kab,ldc->kl", obj.kernel, basis, basis.conj()).real
+    values, vectors = np.linalg.eigh(gram)
+    unitary = np.einsum("k,kab->ab", vectors[:, -1], basis)
+    return CorrectionSearchResult(unitary=unitary, value=float(values[-1]), restart_values=())

@@ -32,6 +32,7 @@ from qss_sim.analysis import (
 )
 from qss_sim.optimize import (
     ScalarObjective,
+    best_correction,
     correction_objective,
     maximize_scalar,
     optimize_correction,
@@ -280,6 +281,12 @@ def test_criterion_10_correction_table_optimality():
                 f"search beat the table on {channel.kind}@{channel.strength} "
                 f"branch ({alice},{collab}): {result.value} > {table_value}"
             )
+            best = best_correction(obj)
+            assert abs(table_value - best.value) <= 1e-10, (
+                f"table is not the global optimum on {channel.kind}@{channel.strength} "
+                f"branch ({alice},{collab}): {table_value} != {best.value}"
+            )
+            assert abs(obj.value(best.unitary) - best.value) <= 1e-12
         assert time.monotonic() - start < 120.0
 
 

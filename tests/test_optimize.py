@@ -2,14 +2,24 @@ import numpy as np
 import pytest
 
 from qss_sim.analysis import f0_ww, f1_ww, r_opt
-from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, dagger, is_unitary
+from qss_sim.linalg import (
+    ID2,
+    MINUS_I_PAULI_Y,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    dagger,
+    is_unitary,
+    su2,
+)
 from qss_sim.optimize import (
     ScalarObjective,
+    best_correction,
     correction_objective,
     maximize_scalar,
     optimize_correction,
 )
-from qss_sim.protocol import NoiseSpec, correction
+from qss_sim.protocol import NoiseSpec, Wmrqm, correction
 
 
 def same_up_to_phase(u, v, atol=1e-6):
@@ -100,3 +110,102 @@ class TestOptimizeCorrection:
         table_value = obj.value(correction(0, ["+"]))
         assert table_value == pytest.approx(1 - 0.25 / 2, abs=1e-9)
         assert obj.value(rotation) < table_value
+
+
+OBJECTIVES = {
+    "pdc": dict(alice=1, collab="+", channel=NoiseSpec("pdc", 0.5)),
+    "adc": dict(alice=0, collab="-", channel=NoiseSpec("adc", 0.4)),
+    "protected-adc": dict(
+        alice=1, collab="-", channel=NoiseSpec("adc", 0.5), wmrqm=Wmrqm(0.3, 0.4)
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OBJECTIVES))
+def branch(request):
+    case = OBJECTIVES[request.param]
+    obj = correction_objective(
+        case["alice"], [case["collab"]], channel=case["channel"], wmrqm=case.get("wmrqm"), nodes=17
+    )
+    return obj, correction(case["alice"], [case["collab"]])
+
+
+def random_unitaries(rng, count):
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, 4))
+    return np.array([np.exp(1j * g) * su2(t, p, l) for t, p, l, g in angles])
+
+
+def per_node_values(obj, unitaries):
+    """The objective summed node by node, without the contracted kernel."""
+    return np.array([
+        sum(
+            w * np.vdot(t, u @ rho @ dagger(u) @ t).real
+            for w, t, rho in zip(obj.weights, obj.targets, obj.states)
+        )
+        for u in unitaries
+    ])
+
+
+def bloch(rho):
+    return np.array([np.trace(p @ rho).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+class TestKernel:
+    def test_batch_values_match_per_node_sum(self, branch, rng):
+        obj, table = branch
+        us = np.concatenate([table[np.newaxis], random_unitaries(rng, 50)])
+        assert obj.batch_values(us) == pytest.approx(per_node_values(obj, us), abs=1e-13)
+
+
+class TestBestCorrection:
+    def test_beats_search_and_random_unitaries(self, branch, rng):
+        obj, _ = branch
+        best = best_correction(obj)
+        assert best.value >= optimize_correction(obj, restarts=4, sweeps=3).value - 1e-12
+        assert best.value >= obj.batch_values(random_unitaries(rng, 200)).max()
+
+    def test_attains_its_value_and_equals_the_table(self, branch):
+        obj, table = branch
+        best = best_correction(obj)
+        assert is_unitary(best.unitary, atol=1e-12)
+        assert obj.value(best.unitary) == pytest.approx(best.value, abs=1e-12)
+        assert best.value == pytest.approx(obj.value(table), abs=1e-10)
+        assert best.restart_values == ()
+
+    def test_matches_the_bloch_vector_procrustes_optimum(self, branch):
+        # fidelity (tr rho + t.(R b)) / 2 maximized over rotations R in SO(3)
+        # by an SVD of M = sum w b t^T with the determinant-sign fix
+        obj, _ = branch
+        m = sum(w * np.outer(bloch(rho), bloch(np.outer(t, t.conj())))
+                for w, t, rho in zip(obj.weights, obj.targets, obj.states))
+        u, s, vt = np.linalg.svd(m)
+        s[-1] *= np.sign(np.linalg.det(u @ vt))
+        trace = sum(w * np.trace(rho).real for w, rho in zip(obj.weights, obj.states))
+        assert best_correction(obj).value == pytest.approx(0.5 * (trace + s.sum()), abs=1e-12)
+
+    def test_noiseless_branch_is_recovered_exactly(self):
+        obj = correction_objective(1, ["-"], nodes=5)
+        best = best_correction(obj)
+        assert best.value == pytest.approx(1.0, abs=1e-12)
+        assert same_up_to_phase(best.unitary, MINUS_I_PAULI_Y, atol=1e-12)
+
+
+@pytest.fixture
+def no_simulator(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulator ran before the input was checked")
+
+    monkeypatch.setattr("qss_sim.optimize.run_iteration", fail)
+
+
+class TestCorrectionObjectiveInput:
+    def test_helper_count_must_match_parties(self, no_simulator):
+        with pytest.raises(ValueError, match="2 parties need 1 helper outcome"):
+            correction_objective(0, ["+", "+"], parties=2)
+        with pytest.raises(ValueError, match="3 parties need 2 helper outcome"):
+            correction_objective(0, ["+"], parties=3)
+
+    def test_population_nodes_must_be_positive(self, no_simulator):
+        for nodes in (0, -3):
+            with pytest.raises(ValueError, match="at least 1 population node"):
+                correction_objective(0, ["+"], nodes=nodes)
