@@ -68,6 +68,7 @@ from .protocol import (
     Wmrqm,
     advance,
     aggregate_fidelity,
+    branch_maps,
     correction,
     encode_secret,
     make_resource,

@@ -29,7 +29,7 @@ import numpy as np
 from .linalg import DensityMatrix
 from .protocol import Secret
 from .quadrature import adaptive_gauss_legendre
-from .tolerances import equality_atol
+from .tolerances import POLE_ATOL, equality_atol
 
 __all__ = [
     "DomainError",
@@ -281,6 +281,14 @@ def avg_success_opt0(p: float, s: float) -> float:
     )
 
 
+def _check_off_pole(p: float, r: float) -> None:
+    """Refuse ``(p, r)`` within ``POLE_ATOL`` of the pole at ``pr = 1``,
+    where cancellation would cost more accuracy than the protected
+    fidelities are held to (see ``tolerances.POLE_ATOL``)."""
+    if abs(1.0 - p * r) < POLE_ATOL:
+        raise DomainError(f"p={p}, r={r} is within {POLE_ATOL:g} of the singular point pr = 1")
+
+
 def f1_ww(k: float, r: float, p: float) -> float:
     """Protected fidelity on the dealer-outcome-1 branches.
 
@@ -291,20 +299,19 @@ def f1_ww(k: float, r: float, p: float) -> float:
     k = _unit(k, "k")
     r = _unit(r, "r")
     p = _unit(p, "p")
-    if p * r == 1.0:
-        raise DomainError("pr = 1 is a singular point")
+    _check_off_pole(p, r)
     return (p * (k + r - k * r) - 1.0) / (p * r - 1.0)
 
 
 def avg_f1(p: float, r: float) -> float:
     """Dealer-outcome-1 protected fidelity averaged over ``k``.
 
-    ``(p + pr - 2)/(2pr - 2)``, again singular only at ``pr = 1``.
+    ``(p + pr - 2)/(2pr - 2)``, again singular only at ``pr = 1``; both
+    forms raise ``DomainError`` within ``POLE_ATOL`` of it.
     """
     p = _unit(p, "p")
     r = _unit(r, "r")
-    if p * r == 1.0:
-        raise DomainError("pr = 1 is a singular point")
+    _check_off_pole(p, r)
     return (p + p * r - 2.0) / (2.0 * p * r - 2.0)
 
 

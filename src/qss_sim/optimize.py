@@ -22,7 +22,11 @@ state) but is not operationally available to a reconstructor who does not
 know the secret; ``max_eigenvalue`` exposes that bound as a diagnostic.
 
 The score of a unitary ``U`` is ``Re sum_n w_n <t_n| U rho_n U^dag |t_n>``
-over the quadrature nodes ``n``. It is a quadratic form in ``U``:
+over the quadrature nodes ``n``. The branch state ``rho_n`` is the branch's
+linear map (``protocol.branch_maps``, fixed by four simulator runs)
+evaluated at the secret ``t_n`` and normalised by its trace, so building an
+objective costs four simulator runs whatever the number of nodes. The
+score is a quadratic form in ``U``:
 ``Re sum K[a,b,c,d] U[a,b] conj(U[d,c])`` with the 2x2x2x2 kernel
 ``K = sum_n w_n conj(t_n[a]) rho_n[b,c] t_n[d]``, so the node axis is
 contracted once per objective and scoring a unitary costs 16 products
@@ -42,15 +46,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, su2
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, su2
 from .protocol import (
-    IterationReport,
+    ZERO_BRANCH_ATOL,
     NoiseSpec,
     ProtocolConfig,
     Secret,
     Wmrqm,
+    branch_maps,
     correction,
-    run_iteration,
 )
 from .quadrature import _nodes
 
@@ -164,7 +168,7 @@ def _unit_interval_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def correction_objective(
     alice_outcome: int,
     collaborator_outcomes: Sequence[str],
-    channel: NoiseSpec | None = None,
+    channel: NoiseSpec | tuple[NoiseSpec | None, ...] | None = None,
     wmrqm: Wmrqm | None = None,
     parties: int = 2,
     nodes: int = 33,
@@ -172,12 +176,13 @@ def correction_objective(
 ) -> UnitaryObjective:
     """Build the search objective for one measurement branch.
 
-    Runs the simulator at each quadrature node of the secret family
-    (Gauss-Legendre in the population ``k``, uniform grid in the relative
-    phase -- the integrand is a trigonometric polynomial of degree two in
-    the phase, so five or more equispaced phases integrate it exactly),
-    strips the table correction off the reported state and records the raw
-    branch state alongside the target secret.
+    Evaluates the branch's map from ``branch_maps`` (four simulator runs)
+    at each quadrature node of the secret family (Gauss-Legendre in the
+    population ``k``, uniform grid in the relative phase -- the integrand
+    is a trigonometric polynomial of degree two in the phase, so five or
+    more equispaced phases integrate it exactly), and records the
+    normalised branch state before any correction alongside the target
+    secret and the branch probability.
     """
     if phases < 5:
         raise ValueError("need at least 5 phase nodes for an exact phase average")
@@ -188,46 +193,32 @@ def correction_objective(
             f"{parties} parties need {parties - 1} helper outcome(s), "
             f"got {len(collaborator_outcomes)}"
         )
+    correction(alice_outcome, collaborator_outcomes)  # rejects unknown outcome labels
+    cfg = ProtocolConfig(
+        parties=parties, secrets=(Secret(1.0, 0.0),), channel=channel, wmrqm=wmrqm
+    )
+    branch_map = branch_maps(cfg)[(alice_outcome, tuple(collaborator_outcomes))]
     ks, k_weights = _unit_interval_nodes(nodes)
     phis = 2.0 * np.pi * np.arange(phases) / phases
-    table_u = correction(alice_outcome, collaborator_outcomes)
-    weights, targets, states, probs = [], [], [], []
-    for k, kw in zip(ks, k_weights):
-        for phi in phis:
-            secret = Secret(
-                alpha=np.sqrt(float(k)), beta=np.sqrt(1.0 - float(k)) * np.exp(1j * phi)
-            )
-            cfg = ProtocolConfig(
-                parties=parties, secrets=(secret,), channel=channel, wmrqm=wmrqm
-            )
-            report = _find_branch(
-                run_iteration(cfg, secret), alice_outcome, collaborator_outcomes
-            )
-            if report.reconstructed_state is None:
-                raise ValueError(
-                    f"branch ({alice_outcome}, {collaborator_outcomes}) has zero probability"
-                )
-            raw = dagger(table_u) @ report.reconstructed_state.matrix @ table_u
-            weights.append(kw / phases)
-            targets.append(secret.vector())
-            states.append(raw)
-            probs.append(report.branch_probability)
-    return UnitaryObjective(
-        weights=np.asarray(weights),
-        targets=np.asarray(targets),
-        states=np.asarray(states),
-        branch_probabilities=np.asarray(probs),
+    targets = np.stack(
+        [
+            np.repeat(np.sqrt(ks), phases),
+            (np.sqrt(1.0 - ks)[:, np.newaxis] * np.exp(1j * phis)).ravel(),
+        ],
+        axis=1,
     )
-
-
-def _find_branch(
-    reports: Sequence[IterationReport], alice: int, collaborators: Sequence[str]
-) -> IterationReport:
-    collaborators = tuple(collaborators)
-    for r in reports:
-        if r.alice_outcome == alice and r.collaborator_outcomes == collaborators:
-            return r
-    raise ValueError(f"no branch ({alice}, {collaborators}) in reports")
+    unnormalised = np.einsum("bcij,ni,nj->nbc", branch_map, targets, targets.conj())
+    probs = np.trace(unnormalised, axis1=1, axis2=2).real
+    if np.any(probs <= ZERO_BRANCH_ATOL):
+        raise ValueError(
+            f"branch ({alice_outcome}, {collaborator_outcomes}) has zero probability"
+        )
+    return UnitaryObjective(
+        weights=np.repeat(k_weights / phases, phases),
+        targets=targets,
+        states=unnormalised / probs[:, np.newaxis, np.newaxis],
+        branch_probabilities=probs,
+    )
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ __all__ = [
     "measure_projective",
     "correction",
     "run_iteration",
+    "branch_maps",
     "advance",
     "start_chain",
     "run_protocol",
@@ -103,6 +104,8 @@ class Secret:
     beta: complex
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError(f"secret amplitudes must be finite, got {self.alpha}, {self.beta}")
         norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm2 - 1.0) > equality_atol():
             raise ValueError(f"secret amplitudes are not normalized: {norm2}")
@@ -502,6 +505,52 @@ def run_iteration(cfg: ProtocolConfig, secret: Secret) -> list[IterationReport]:
     sum to the post-selection success probability.
     """
     return start_chain(cfg, secret)[1]
+
+
+def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.ndarray]:
+    """Every branch's linear map from the secret to the reconstructor's state.
+
+    Encoding, channels, weak operators, projections and the partial trace
+    are all linear in the secret's density matrix, so one iteration on a
+    fresh resource sends it, on each branch, through a fixed map ``Phi``
+    to the reconstructor's unnormalised state before any correction (whose
+    trace is the branch probability). Keyed by ``(alice_outcome,
+    collaborator_outcomes)``, each map is the tensor
+    ``S[b, c, i, j] = Phi(|i><j|)[b, c]``, so the state for a secret
+    ``psi`` is ``einsum("bcij,i,j->bc", S, psi, psi.conj())``.
+
+    Four pure inputs fix ``Phi`` (process tomography, Chuang & Nielsen,
+    J. Mod. Opt. 44, 2455 (1997)): ``run_iteration`` runs once on each of
+    ``|0>``, ``|1>``, ``|+>`` and ``|+i>``, and each report gives
+    ``p U^dag rho U`` (zero for a zero-probability branch), with ``U`` the
+    table correction it applied. The off-diagonal images follow as
+    ``Phi(|0><1|) = Phi(+) + i Phi(+i) - (1+i)/2 (Phi(0) + Phi(1))`` and
+    ``Phi(|1><0|) = Phi(+) - i Phi(+i) - (1-i)/2 (Phi(0) + Phi(1))``.
+    ``cfg.secrets``, ``iterations`` and ``return_channel`` are not used.
+    """
+    h = 1.0 / np.sqrt(2.0)
+    images = []
+    for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (h, h), (h, 1j * h)):
+        image = {}
+        for r in run_iteration(cfg, Secret(alpha, beta)):
+            key = (r.alice_outcome, r.collaborator_outcomes)
+            if r.reconstructed_state is None:
+                image[key] = np.zeros((2, 2), dtype=complex)
+            else:
+                u = correction(*key)
+                image[key] = r.branch_probability * (dagger(u) @ r.reconstructed_state.matrix @ u)
+        images.append(image)
+    zero, one, plus, plus_i = images
+    maps = {}
+    for key in zero:
+        diagonal = zero[key] + one[key]
+        s = np.empty((2, 2, 2, 2), dtype=complex)
+        s[:, :, 0, 0] = zero[key]
+        s[:, :, 1, 1] = one[key]
+        s[:, :, 0, 1] = plus[key] + 1j * plus_i[key] - 0.5 * (1 + 1j) * diagonal
+        s[:, :, 1, 0] = plus[key] - 1j * plus_i[key] - 0.5 * (1 - 1j) * diagonal
+        maps[key] = s
+    return maps
 
 
 def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[ProtocolState, list[IterationReport]]:

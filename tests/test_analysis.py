@@ -25,6 +25,7 @@ from qss_sim.analysis import (
 )
 from qss_sim.linalg import DensityMatrix
 from qss_sim.protocol import Secret
+from qss_sim.tolerances import POLE_ATOL
 
 
 class TestPhaseDampingFidelity:
@@ -260,6 +261,22 @@ class TestProtectedFidelityOutcome1:
             f1_ww(0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             avg_f1(1.0, 1.0)
+
+    def test_near_singular_point_is_refused(self):
+        # cancellation returned 1.0 and -0.0 here; the limits are 0.7 and 0.5
+        with pytest.raises(DomainError, match="singular point"):
+            f1_ww(0.3, 1 - 1e-16, 1.0)
+        with pytest.raises(DomainError, match="singular point"):
+            avg_f1(1.0, 1 - 1e-16)
+        with pytest.raises(DomainError):
+            f1_ww(0.3, 1.0, 1 - 0.5 * POLE_ATOL)
+
+    def test_accurate_just_outside_the_pole_tolerance(self):
+        # at p = 1 the forms reduce exactly to 1 - k and 1/2
+        r = 1.0 - 2.0 * POLE_ATOL
+        for k in (0.0, 0.3, 0.9):
+            assert f1_ww(k, r, 1.0) == pytest.approx(1.0 - k, abs=1e-10)
+        assert avg_f1(1.0, r) == pytest.approx(0.5, abs=1e-10)
 
     def test_monotone_in_reversal_strength(self):
         for k in (0.0, 0.4, 0.9):

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss_sim.analysis import f0_ww, f1_ww, r_opt
 from qss_sim.linalg import (
@@ -14,12 +18,22 @@ from qss_sim.linalg import (
 )
 from qss_sim.optimize import (
     ScalarObjective,
+    UnitaryObjective,
+    _unit_interval_nodes,
     best_correction,
     correction_objective,
     maximize_scalar,
     optimize_correction,
 )
-from qss_sim.protocol import NoiseSpec, Wmrqm, correction
+from qss_sim.protocol import (
+    NoiseSpec,
+    ProtocolConfig,
+    Secret,
+    Wmrqm,
+    branch_maps,
+    correction,
+    run_iteration,
+)
 
 
 def same_up_to_phase(u, v, atol=1e-6):
@@ -195,7 +209,7 @@ def no_simulator(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("simulator ran before the input was checked")
 
-    monkeypatch.setattr("qss_sim.optimize.run_iteration", fail)
+    monkeypatch.setattr("qss_sim.optimize.branch_maps", fail)
 
 
 class TestCorrectionObjectiveInput:
@@ -209,3 +223,106 @@ class TestCorrectionObjectiveInput:
         for nodes in (0, -3):
             with pytest.raises(ValueError, match="at least 1 population node"):
                 correction_objective(0, ["+"], nodes=nodes)
+
+
+def per_node_objective(
+    alice_outcome, collaborator_outcomes, channel=None, wmrqm=None, parties=2, nodes=33, phases=8
+):
+    """The objective built node by node: ``run_iteration`` at every
+    quadrature node, one branch kept and its table correction stripped."""
+    ks, k_weights = _unit_interval_nodes(nodes)
+    phis = 2.0 * np.pi * np.arange(phases) / phases
+    table_u = correction(alice_outcome, collaborator_outcomes)
+    key = (alice_outcome, tuple(collaborator_outcomes))
+    weights, targets, states, probs = [], [], [], []
+    for k, kw in zip(ks, k_weights):
+        for phi in phis:
+            secret = Secret(
+                alpha=np.sqrt(float(k)), beta=np.sqrt(1.0 - float(k)) * np.exp(1j * phi)
+            )
+            cfg = ProtocolConfig(parties=parties, secrets=(secret,), channel=channel, wmrqm=wmrqm)
+            (report,) = [
+                r for r in run_iteration(cfg, secret)
+                if (r.alice_outcome, r.collaborator_outcomes) == key
+            ]
+            if report.reconstructed_state is None:
+                raise ValueError(f"branch {key} has zero probability")
+            weights.append(kw / phases)
+            targets.append(secret.vector())
+            states.append(dagger(table_u) @ report.reconstructed_state.matrix @ table_u)
+            probs.append(report.branch_probability)
+    return UnitaryObjective(
+        weights=np.asarray(weights),
+        targets=np.asarray(targets),
+        states=np.asarray(states),
+        branch_probabilities=np.asarray(probs),
+    )
+
+
+def all_branches(parties):
+    return [
+        (alice, list(helpers))
+        for alice in (0, 1)
+        for helpers in itertools.product("+-", repeat=parties - 1)
+    ]
+
+
+noise_specs = st.builds(NoiseSpec, st.sampled_from(("pdc", "adc")), st.floats(0.0, 1.0))
+strengths = st.floats(0.0, 0.9)
+
+
+@st.composite
+def channels(draw, parties):
+    """No noise, one spec for every transmitted qubit, or one entry per qubit."""
+    return draw(st.none() | noise_specs | st.tuples(*[st.none() | noise_specs] * parties))
+
+
+class TestBranchMaps:
+    @pytest.mark.parametrize("parties", [2, 3])
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_objective_matches_the_per_node_simulation(self, parties, data):
+        channel = data.draw(channels(parties))
+        wmrqm = data.draw(st.none() | st.builds(Wmrqm, strengths, strengths))
+        for alice, helpers in all_branches(parties):
+            args = (alice, helpers, channel, wmrqm, parties, 2, 5)
+            want = per_node_objective(*args)
+            got = correction_objective(*args)
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.targets, want.targets)
+            assert got.branch_probabilities == pytest.approx(want.branch_probabilities, abs=1e-13)
+            assert got.states == pytest.approx(want.states, abs=1e-13)
+            assert got.kernel == pytest.approx(want.kernel, abs=1e-13)
+
+    @pytest.mark.parametrize("parties", [2, 3, 4])
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_unprotected_maps_sum_to_a_trace_preserving_map(self, parties, data):
+        cfg = ProtocolConfig(
+            parties=parties, secrets=(Secret(1.0, 0.0),), channel=data.draw(channels(parties))
+        )
+        maps = branch_maps(cfg)
+        assert sorted(maps) == sorted((a, tuple(h)) for a, h in all_branches(parties))
+        total = sum(np.einsum("bbij->ij", s) for s in maps.values())
+        assert total == pytest.approx(np.eye(2), abs=1e-12)
+
+    def test_objective_simulates_four_inputs(self, monkeypatch):
+        calls = []
+
+        def counting(cfg, secret):
+            calls.append(secret)
+            return run_iteration(cfg, secret)
+
+        monkeypatch.setattr("qss_sim.protocol.run_iteration", counting)
+        correction_objective(1, ["-", "+"], channel=NoiseSpec("adc", 0.4), parties=3)
+        h = 2**-0.5
+        assert np.array([s.vector() for s in calls]) == pytest.approx(
+            np.array([[1, 0], [0, 1], [h, h], [h, 1j * h]]), abs=1e-15
+        )
+
+    def test_zero_probability_branch_is_rejected(self):
+        # full reversal: the dealer-outcome-1 branches vanish for every secret
+        with pytest.raises(ValueError, match="zero probability"):
+            correction_objective(
+                1, ["+"], channel=NoiseSpec("adc", 0.5), wmrqm=Wmrqm(0.3, 1.0), nodes=3
+            )

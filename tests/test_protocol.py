@@ -42,6 +42,15 @@ class TestSecret:
         with pytest.raises(ValueError):
             Secret.from_k(1.2)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(np.nan, 0.0), (1.0, np.nan), (complex(np.nan, 0.0), 1.0), (np.inf, 0.0), (0.0, -np.inf)],
+    )
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        # nan slipped through the norm check: abs(nan - 1) > atol is False
+        with pytest.raises(ValueError, match="must be finite"):
+            Secret(alpha=alpha, beta=beta)
+
 
 class TestMakeResource:
     def test_bell_pair(self):
