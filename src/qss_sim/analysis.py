@@ -212,6 +212,29 @@ def r_opt(k: float, s: float, p: float) -> float:
     return -math.sqrt(arg) + (1.0 + (2.0 * k - 1.0) * s) / f
 
 
+def _region_domain(p: float, s: float) -> tuple[float, float]:
+    """``(p, s)`` checked for the averages over the optimality region."""
+    p = _unit(p, "p")
+    s = _unit(s, "s")
+    if not 0.0 < p < 1.0 or not s < 1.0:
+        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
+    return p, s
+
+
+def _region_average(p: float, s: float, form: Callable[..., float]) -> float:
+    """Integral of ``form(k, s, r_opt(k, s, p), p)`` over the optimality
+    region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure."""
+    p, s = _region_domain(p, s)
+    lower, split = region_bounds(p, s)
+
+    def integrand(k: float) -> float:
+        return form(k, s, r_opt(k, s, p), p)
+
+    return adaptive_gauss_legendre(integrand, lower, split, tol=1e-11) + adaptive_gauss_legendre(
+        integrand, split, 1.0, tol=1e-11
+    )
+
+
 def avg_f_opt0(p: float, s: float) -> float:
     """Optimally protected dealer-outcome-0 fidelity, averaged over ``k``.
 
@@ -222,18 +245,7 @@ def avg_f_opt0(p: float, s: float) -> float:
     ``[0, 1]``). See ``avg_f_opt0_closed_form`` for the transcribed
     log-form expression and the validation report for how the two compare.
     """
-    p = _unit(p, "p")
-    s = _unit(s, "s")
-    if not 0.0 < p < 1.0 or not s < 1.0:
-        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
-    lower, split = region_bounds(p, s)
-
-    def integrand(k: float) -> float:
-        return f0_ww(k, s, r_opt(k, s, p), p)
-
-    return adaptive_gauss_legendre(integrand, lower, split, tol=1e-11) + adaptive_gauss_legendre(
-        integrand, split, 1.0, tol=1e-11
-    )
+    return _region_average(p, s, f0_ww)
 
 
 def avg_f_opt0_closed_form(p: float, s: float) -> float:
@@ -244,10 +256,7 @@ def avg_f_opt0_closed_form(p: float, s: float) -> float:
     the domain); the validation suite therefore reports the discrepancy
     instead of asserting agreement.
     """
-    p = _unit(p, "p")
-    s = _unit(s, "s")
-    if not 0.0 < p < 1.0 or not s < 1.0:
-        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
+    p, s = _region_domain(p, s)
     sb = 1.0 - s
     u = math.sqrt(1.0 - p * p * sb * sb)
     v = 1.0 + p - p * s
@@ -267,18 +276,7 @@ def avg_success_opt0(p: float, s: float) -> float:
     Same integration convention as ``avg_f_opt0``: ``sp2`` with
     ``r = r_opt(k, s, p)`` integrated over the optimality region.
     """
-    p = _unit(p, "p")
-    s = _unit(s, "s")
-    if not 0.0 < p < 1.0 or not s < 1.0:
-        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
-    lower, split = region_bounds(p, s)
-
-    def integrand(k: float) -> float:
-        return sp2(k, s, r_opt(k, s, p), p)
-
-    return adaptive_gauss_legendre(integrand, lower, split, tol=1e-11) + adaptive_gauss_legendre(
-        integrand, split, 1.0, tol=1e-11
-    )
+    return _region_average(p, s, sp2)
 
 
 def _check_off_pole(p: float, r: float) -> None:

@@ -22,7 +22,7 @@ traces of unnormalized states.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -146,12 +146,20 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubit: int) -> DensityMa
     same channel to two qubits in sequence equals the double Kraus sum over
     both qubits.
     """
-    return DensityMatrix(_apply_channel_matrix(rho.matrix, ch, qubit, rho.num_qubits))
+    return DensityMatrix(_apply_channel_matrix(rho.matrix, ch.operators, qubit, rho.num_qubits))
 
 
-def _apply_channel_matrix(mat: np.ndarray, ch: KrausChannel, qubit: int, m: int) -> np.ndarray:
+def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: int) -> np.ndarray:
+    """``sum_i E_i mat E_i^dag`` for 2x2 operators ``E_i`` on one qubit.
+
+    The one place a single-qubit operation meets the register: channels,
+    weak and reverse operators, and projective measurements. The exception
+    is the branch walk (``protocol._project_branches``): it embeds the
+    2(k+1) projectors of an iteration once and reuses them over 2^(k+1)
+    branches, where this function would embed them again per sandwich.
+    """
     out = np.zeros_like(mat)
-    for k in ch.operators:
+    for k in operators:
         e = embed(k, [qubit], m)
         out += e @ mat @ dagger(e)
     return out
@@ -188,9 +196,7 @@ def apply_selective(
     when (and whether) to renormalize. If the branch has zero probability
     the state is ``None``.
     """
-    m = rho.num_qubits
-    e = embed(op.matrix, [qubit], m)
-    out = e @ rho.matrix @ dagger(e)
+    out = _apply_channel_matrix(rho.matrix, (op.matrix,), qubit, rho.num_qubits)
     prob = float(out.trace().real)
     if prob <= 0.0:
         return None, 0.0

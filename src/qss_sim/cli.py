@@ -5,12 +5,14 @@ Three subcommands:
 * ``run --config <path>``: execute a configured protocol (all iterations,
   recycling included) and print a JSON report to stdout;
 * ``sweep --spec <path> --out <path> [--workers N]``: evaluate quantities
-  on a parameter grid and write deterministic CSV;
+  on a parameter grid and write deterministic CSV (``--workers`` is
+  accepted and ignored: points are evaluated serially);
 * ``validate [--grid coarse|fine]``: cross-validate every closed form
   against the brute-force simulator and print a residual table.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 config/spec parse
-error, 3 config/spec validation error, 4 numeric domain error.
+Exit codes: 0 success, 1 validation-suite failure, 2 unreadable
+config/spec, unwritable output or parse error, 3 config/spec validation
+error, 4 numeric domain error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import validate as validate_mod
 from .analysis import DomainError
@@ -96,13 +98,8 @@ def _run_report(cfg: ProtocolConfig) -> dict[str, Any]:
     iterations = run_protocol(cfg)
 
     residuals: dict[str, float] = {}
-    specs = []
-    if isinstance(cfg.channel, tuple):
-        specs = [s for s in cfg.channel if s is not None]
-    elif cfg.channel is not None:
-        specs = [cfg.channel]
-    if cfg.return_channel is not None:
-        specs.append(cfg.return_channel)
+    legs = [cfg.channel_for(i) for i in range(len(cfg.transmitted_qubits))]
+    specs = [s for s in legs + [cfg.return_channel] if s is not None]
     if specs:
         residuals["channel_completeness"] = max(validate_cptp(s.channel()) for s in specs)
     state_residual = 0.0
@@ -133,20 +130,29 @@ def _run_report(cfg: ProtocolConfig) -> dict[str, Any]:
     return _round_floats(report)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load(path: str, what: str, parse: Callable[[str], Any]) -> tuple[Any, int]:
+    """Read and parse an input file: ``(parsed, EXIT_OK)``, or ``(None,
+    exit code)`` once the reason is on stderr."""
     try:
-        text = open(args.config).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        print(f"error: cannot read {what}: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
     try:
-        cfg = run_config_from_text(text)
+        return parse(text), EXIT_OK
     except ConfigValidationError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"error: invalid {what}: {exc}", file=sys.stderr)
+        return None, EXIT_VALIDATION
     except ConfigError as exc:
-        print(f"error: cannot parse config: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        print(f"error: cannot parse {what}: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg, code = _load(args.config, "config", run_config_from_text)
+    if cfg is None:
+        return code
     try:
         report = _run_report(cfg)
     except (DomainError, ValueError) as exc:
@@ -159,28 +165,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec, code = _load(args.spec, "spec", sweep_spec_from_text)
+    if spec is None:
+        return code
     try:
-        text = open(args.spec).read()
-    except OSError as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        spec = sweep_spec_from_text(text)
-    except ConfigValidationError as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"error: cannot parse spec: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        header, rows, warnings = run_sweep(spec, workers=args.workers)
+        header, rows, warnings = run_sweep(spec)
     except ConfigValidationError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DomainError as exc:
         print(f"error: numeric domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    write_csv(args.out, header, rows, warnings)
+    try:
+        write_csv(args.out, header, rows, warnings)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if warnings:
         print(f"warning: {warnings} out-of-domain grid point(s) wrote nan", file=sys.stderr)
     return EXIT_OK
@@ -210,7 +210,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="evaluate quantities on a grid, write CSV")
     p_sweep.add_argument("--spec", required=True, help="path to key=value sweep spec")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel evaluators")
+    p_sweep.add_argument("--workers", type=int, default=1, help="ignored; evaluation is serial")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="cross-validate closed forms vs simulator")

@@ -69,10 +69,10 @@ _RUN_KEYS = {
 def run_config_from_text(text: str) -> ProtocolConfig:
     """Build a protocol run configuration from config text.
 
-    Keys: ``parties`` (receivers, 2 to 7), ``iterations``, ``secret_k`` or a
-    comma-separated ``secrets`` list (one k per iteration), ``channel`` /
-    ``strength``, optional ``wmrqm_s`` / ``wmrqm_r`` (both or neither) and
-    optional ``return_channel`` / ``return_strength``.
+    Keys: ``parties`` (receivers, 2 to 7), ``iterations`` (at least 1),
+    ``secret_k`` or a comma-separated ``secrets`` list (one k per iteration),
+    ``channel`` / ``strength``, optional ``wmrqm_s`` / ``wmrqm_r`` (both or
+    neither) and optional ``return_channel`` / ``return_strength``.
     """
     pairs = parse_kv(text)
     unknown = set(pairs) - _RUN_KEYS

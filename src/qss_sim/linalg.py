@@ -13,7 +13,8 @@ operators and states use this fixed ordering; there is no per-call
 convention switch.
 
 States are immutable after construction: the wrapped arrays are marked
-read-only, so any value can be shared freely between concurrent workers.
+read-only, so any value can be shared safely; no holder can change it
+under another.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from .channels import (
     REVERSE,
     KrausChannel,
     _apply_channel_matrix,
+    apply_channel,
     make_channel,
     weak_op,
 )
@@ -165,7 +166,8 @@ class ProtocolConfig:
     """Full description of a protocol run.
 
     ``parties`` counts the receivers (the dealer is extra), from 2 to
-    ``MAX_PARTIES``; ``channel`` may be a single spec applied to every
+    ``MAX_PARTIES``; ``iterations`` is at least 1, with one secret per
+    iteration; ``channel`` may be a single spec applied to every
     transmitted qubit, or one entry per transmitted qubit (``None`` =
     noiseless leg). ``return_channel`` optionally adds noise to the
     helpers' qubits on their way back to the dealer between iterations; the
@@ -187,6 +189,8 @@ class ProtocolConfig:
             raise ValueError(
                 f"at most {MAX_PARTIES} receivers ({MAX_PARTIES + 1} qubits), got {self.parties}"
             )
+        if self.iterations < 1:
+            raise ValueError(f"need at least 1 iteration, got {self.iterations}")
         secrets = tuple(self.secrets)
         object.__setattr__(self, "secrets", secrets)
         if len(secrets) != self.iterations:
@@ -374,14 +378,9 @@ def withheld_outcome_state(state: DensityMatrix, cfg: ProtocolConfig) -> Density
     outcome, assigns before classical communication; the secrecy of the
     scheme is the statement that each receiver's marginal of it is I/2.
     """
-    mat = state.matrix
-    m = cfg.num_qubits
+    mat, m = state.matrix, cfg.num_qubits
     for qubit, basis in _measurements(cfg):
-        acc = np.zeros_like(mat)
-        for _, proj in _BASIS_PROJECTORS[basis]:
-            full = embed(proj, [qubit], m)
-            acc += full @ mat @ full
-        mat = acc
+        mat = _apply_channel_matrix(mat, [p for _, p in _BASIS_PROJECTORS[basis]], qubit, m)
     return DensityMatrix(mat)
 
 
@@ -395,11 +394,9 @@ def measure_projective(
     """
     if basis not in _BASIS_PROJECTORS:
         raise ValueError(f"unknown basis {basis!r}")
-    m = rho.num_qubits
     records = []
     for outcome, proj in _BASIS_PROJECTORS[basis]:
-        full = embed(proj, [qubit], m)
-        projected = full @ rho.matrix @ full
+        projected = _apply_channel_matrix(rho.matrix, (proj,), qubit, rho.num_qubits)
         prob = float(projected.trace().real)
         if prob <= ZERO_BRANCH_ATOL:
             records.append(MeasurementRecord(outcome, 0.0, None))
@@ -445,19 +442,17 @@ def _execute_iteration(
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
         for q in transmitted:
-            e = embed(fwd.matrix, [q], m)
-            rho = e @ rho @ dagger(e)
+            rho = _apply_channel_matrix(rho, (fwd.matrix,), q, m)
 
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
         if spec is not None:
-            rho = _apply_channel_matrix(rho, spec.channel(), q, m)
+            rho = _apply_channel_matrix(rho, spec.channel().operators, q, m)
 
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
         for q in transmitted:
-            e = embed(rev.matrix, [q], m)
-            rho = e @ rho @ dagger(e)
+            rho = _apply_channel_matrix(rho, (rev.matrix,), q, m)
 
     projectors = [
         tuple((o, embed(p, [q], m)) for o, p in _BASIS_PROJECTORS[basis])
@@ -620,9 +615,7 @@ def advance(
     for label, vec in _OUTCOME_STATES.items():
         returned = DensityMatrix(np.outer(vec, vec.conj()))
         if cfg.return_channel is not None:
-            returned = DensityMatrix(
-                _apply_channel_matrix(returned.matrix, cfg.return_channel.channel(), 0, 1)
-            )
+            returned = apply_channel(returned, cfg.return_channel.channel(), 0)
         resets[label] = _reset_to_zero(returned)
         if not all(
             np.allclose(s, _ZERO_STATE, rtol=0.0, atol=LINALG_ATOL) for _, s in resets[label]

@@ -5,8 +5,7 @@ writes one row per grid point, outer axis major. Floats are written with 12
 significant digits; grid points where a quantity is undefined produce a
 literal ``nan`` and are counted in the trailing ``# warnings: N`` comment
 line. Output is bit-identical across repeated runs of the same spec:
-workers only parallelize evaluation, rows are buffered and written in grid
-order.
+points are evaluated one after another and written in grid order.
 
 Ready-made specs reproducing the bundled figure datasets live in
 ``sweepspecs/`` (see the README for the column schema of each).
@@ -15,7 +14,6 @@ Ready-made specs reproducing the bundled figure datasets live in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,7 +148,7 @@ def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[
     return values, warnings
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[str], list[list[float]], int]:
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]], int]:
     """Evaluate a sweep; returns (header, rows, warning count)."""
     _validate_spec(spec)
     grids = [np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.axes]
@@ -165,11 +163,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[str], list[list[f
             for y in grids[1]:
                 points.append({names[0]: float(x), names[1]: float(y), **spec.fixed})
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _evaluate_point(spec, b), points))
-    else:
-        results = [_evaluate_point(spec, b) for b in points]
+    results = [_evaluate_point(spec, b) for b in points]
 
     header = names + list(spec.quantities)
     rows = [[float(p[n]) for n in names] + vals for p, (vals, _) in zip(points, results)]

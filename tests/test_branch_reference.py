@@ -47,7 +47,7 @@ def reference_execute(rho, cfg, secret, iteration_index, scale):
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
         if spec is not None:
-            rho = _apply_channel_matrix(rho, spec.channel(), q, m)
+            rho = _apply_channel_matrix(rho, spec.channel().operators, q, m)
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
         for q in transmitted:
@@ -112,7 +112,7 @@ def reference_advance(branches, next_iteration, secret, cfg):
             returned = DensityMatrix(np.outer(vec, vec.conj()))
             if cfg.return_channel is not None:
                 returned = DensityMatrix(
-                    _apply_channel_matrix(returned.matrix, cfg.return_channel.channel(), 0, 1)
+                    _apply_channel_matrix(returned.matrix, cfg.return_channel.channel().operators, 0, 1)
                 )
             per_qubit.append(reference_reset(returned))
         for combo in itertools.product(*per_qubit):

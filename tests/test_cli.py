@@ -147,6 +147,15 @@ class TestRunCommand:
         )
         assert self.run_cli("run", "--config", str(dead))[0] == 4
 
+    def test_zero_iterations_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("parties = 2\niterations = 0\nsecret_k = 0.5\n")
+        assert main(["run", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid config: ")
+        assert "at least 1 iteration" in captured.err
+
     def test_report_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -223,6 +232,15 @@ class TestSweepCommand:
             main(["sweep", "--spec", str(spec), "--out", str(out), "--workers", str(workers)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_text("quantity = avg_f_pd\naxis = q, 0, 1, 3\n")
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            before = sorted(tmp_path.rglob("*"))
+            assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot write output: ")
+            assert sorted(tmp_path.rglob("*")) == before
 
     def test_out_of_domain_writes_nan_and_warning(self, tmp_path):
         spec = tmp_path / "s.spec"
@@ -304,6 +322,14 @@ class TestFigurePresets:
             from qss_sim.sweeps import _validate_spec
 
             _validate_spec(spec)
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    def test_figure_csv_bytes_match_reference(self, fig, tmp_path):
+        repo = Path(__file__).parent.parent
+        out = tmp_path / f"{fig}.csv"
+        spec = repo / "sweepspecs" / f"{fig}.spec"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert out.read_bytes() == (repo / "benchmarks" / "reference" / f"{fig}.csv").read_bytes()
 
     def test_fig5_schema(self):
         root = os.path.join(os.path.dirname(__file__), "..", "sweepspecs")

@@ -393,6 +393,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(parties=2, secrets=(Secret.from_k(0.5),), iterations=2)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_needs_at_least_one_iteration(self, iterations):
+        with pytest.raises(ValueError, match="at least 1 iteration"):
+            ProtocolConfig(parties=2, secrets=(), iterations=iterations)
+
     def test_channel_list_length(self):
         with pytest.raises(ValueError):
             ProtocolConfig(
