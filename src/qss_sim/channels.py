@@ -158,6 +158,9 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
     2(k+1) projectors of an iteration once and reuses them over 2^(k+1)
     branches, where this function would embed them again per sandwich.
     """
+    if len(operators) == 1:  # no zero buffer to add to, and zeros keep their sign
+        e = embed(operators[0], [qubit], m)
+        return e @ mat @ dagger(e)
     out = np.zeros_like(mat)
     for k in operators:
         e = embed(k, [qubit], m)

@@ -405,16 +405,19 @@ def measure_projective(
     return records
 
 
-def _project_branches(mat: np.ndarray, projectors: Sequence, labels: tuple = ()) -> Iterator:
+def _project_branches(mat: np.ndarray, projectors: Sequence, scratch: np.ndarray, labels: tuple = ()) -> Iterator:
     """Yield ``(labels, projected register)`` for every outcome branch,
     depth-first in ``itertools.product`` order. ``projectors`` holds one
     ``((label, full-register projector), ...)`` tuple per measured qubit;
-    each prefix's ``P @ X @ P`` sandwich is evaluated once."""
+    each prefix's ``P @ X @ P`` is evaluated once, ``P @ X`` into the one
+    ``scratch`` of the walk, so that a leaf frees one register-sized block,
+    not two that the allocator would trim off the heap top and fault back."""
     if not projectors:
         yield labels, mat
         return
     for label, proj in projectors[0]:
-        yield from _project_branches(proj @ mat @ proj, projectors[1:], labels + (label,))
+        projected = np.matmul(proj, mat, out=scratch) @ proj
+        yield from _project_branches(projected, projectors[1:], scratch, labels + (label,))
 
 
 def _execute_iteration(
@@ -461,7 +464,7 @@ def _execute_iteration(
     secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
-    for labels, branch in _project_branches(rho, projectors):
+    for labels, branch in _project_branches(rho, projectors, np.empty_like(rho)):
         a, outcomes = int(labels[0]), labels[1:]
         bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
         prob = float(bob.trace().real)
