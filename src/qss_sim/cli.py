@@ -136,7 +136,7 @@ def _load(path: str, what: str, parse: Callable[[str], Any]) -> tuple[Any, int]:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {what}: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
     try:

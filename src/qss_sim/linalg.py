@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything here is plain dense ``numpy`` over registers of at most 8 qubits:
-tensor (Kronecker) products, embedding of local operators at arbitrary qubit
-positions, partial trace, Hermitian eigenvalues and a three-angle
-parameterization of single-qubit unitaries.
+tensor (Kronecker) products, ``embed`` (the simulator lifts only CNOTs with
+it; ``channels`` applies one-qubit operators on a tensor axis), partial
+trace, Hermitian eigenvalues and a three-angle ``su2`` parameterization.
 
 Conventions
 -----------

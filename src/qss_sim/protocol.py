@@ -32,6 +32,7 @@ sampled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -405,19 +406,17 @@ def measure_projective(
     return records
 
 
-def _project_branches(mat: np.ndarray, projectors: Sequence, scratch: np.ndarray, labels: tuple = ()) -> Iterator:
-    """Yield ``(labels, projected register)`` for every outcome branch,
-    depth-first in ``itertools.product`` order. ``projectors`` holds one
-    ``((label, full-register projector), ...)`` tuple per measured qubit;
-    each prefix's ``P @ X @ P`` is evaluated once, ``P @ X`` into the one
-    ``scratch`` of the walk, so that a leaf frees one register-sized block,
-    not two that the allocator would trim off the heap top and fault back."""
-    if not projectors:
+def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: tuple = ()) -> Iterator:
+    """Yield ``(labels, projected register)`` for every outcome branch of the
+    ``(qubit, basis)`` ``measurements``, depth-first in ``itertools.product``
+    order; each prefix's ``P X P`` is evaluated once."""
+    if not measurements:
         yield labels, mat
         return
-    for label, proj in projectors[0]:
-        projected = np.matmul(proj, mat, out=scratch) @ proj
-        yield from _project_branches(projected, projectors[1:], scratch, labels + (label,))
+    (qubit, basis), rest = measurements[0], measurements[1:]
+    for label, proj in _BASIS_PROJECTORS[basis]:
+        projected = _apply_channel_matrix(mat, (proj,), qubit, m)
+        yield from _project_branches(projected, rest, m, labels + (label,))
 
 
 def _execute_iteration(
@@ -435,9 +434,9 @@ def _execute_iteration(
 
     ``_project_branches`` walks the measurements depth-first, so branches
     that agree on their first d outcomes share one projected register. Each
-    projection is the ``P @ X @ P`` product the flat per-branch loop would
-    compute, so results are bitwise the same, at 2 + 4 + ... + 2^(k+1)
-    sandwiches for k helpers instead of 2 + k * 2^(k+1).
+    projection is the sandwich the flat per-branch loop would compute, so
+    results are bitwise the same, at 2 + 4 + ... + 2^(k+1) sandwiches for k
+    helpers instead of 2 + k * 2^(k+1).
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
@@ -457,14 +456,10 @@ def _execute_iteration(
         for q in transmitted:
             rho = _apply_channel_matrix(rho, (rev.matrix,), q, m)
 
-    projectors = [
-        tuple((o, embed(p, [q], m)) for o, p in _BASIS_PROJECTORS[basis])
-        for q, basis in _measurements(cfg)
-    ]
     secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
-    for labels, branch in _project_branches(rho, projectors, np.empty_like(rho)):
+    for labels, branch in _project_branches(rho, _measurements(cfg), m):
         a, outcomes = int(labels[0]), labels[1:]
         bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
         prob = float(bob.trace().real)
@@ -630,7 +625,7 @@ def advance(
     weight = 0.0
     for w, outcomes in prev.branches:
         for combo in itertools.product(*(resets[o] for o in outcomes)):
-            weight += w * float(np.prod([p for p, _ in combo]))
+            weight += w * math.prod(p for p, _ in combo)
 
     reports, chain = _execute_iteration(
         _recycled_density(secret, [resets[o][0][1] for o in prev.branches[0][1]], n),

@@ -8,7 +8,13 @@ merges the reset combinations whose states agree to within ``allclose``.
 The package shares projected prefixes between branches and computes each
 reset once per outcome label; both do the same floating-point operations
 as the reference, so every probability, fidelity, reconstructed matrix and
-carried weight must agree with ``==``, not merely within a tolerance.
+carried weight must agree with ``==``, not merely within a tolerance. Both
+apply single-qubit operators through ``_apply_channel_matrix``.
+
+``dense_sandwich`` is the slow form of that primitive: each operator lifted
+to the full register with ``embed`` and applied by two dense matmuls. A
+BLAS kernel may fuse a row's two products into one rounding, and complex
+entries may round in another order, so the two agree to 1e-12, not bitwise.
 """
 
 import itertools
@@ -19,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qss_sim import linalg, protocol
-from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, weak_op
-from qss_sim.linalg import KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, dagger, embed
+from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
+from qss_sim.linalg import KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, dagger, embed, su2
 from qss_sim.protocol import (
     ALICE_QUBIT,
     ZERO_BRANCH_ATOL,
@@ -30,6 +36,7 @@ from qss_sim.protocol import (
     Secret,
     Wmrqm,
     advance,
+    run_iteration,
     start_chain,
 )
 
@@ -42,8 +49,7 @@ def reference_execute(rho, cfg, secret, iteration_index, scale):
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
         for q in transmitted:
-            e = embed(fwd.matrix, [q], m)
-            rho = e @ rho @ dagger(e)
+            rho = _apply_channel_matrix(rho, (fwd.matrix,), q, m)
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
         if spec is not None:
@@ -51,22 +57,19 @@ def reference_execute(rho, cfg, secret, iteration_index, scale):
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
         for q in transmitted:
-            e = embed(rev.matrix, [q], m)
-            rho = e @ rho @ dagger(e)
+            rho = _apply_channel_matrix(rho, (rev.matrix,), q, m)
 
-    proj_alice = {o: embed(p, [ALICE_QUBIT], m) for o, p in _PROJECTORS["computational"]}
-    proj_collab = [
-        {o: embed(p, [q], m) for o, p in _PROJECTORS["hadamard"]}
-        for q in cfg.collaborator_qubits
-    ]
+    proj_alice = dict(_PROJECTORS["computational"])
+    proj_collab = dict(_PROJECTORS["hadamard"])
+    helpers = cfg.collaborator_qubits
     secret_vec = secret.vector()
     reports, chain = [], []
     for a in (0, 1):
-        rho_a = proj_alice[str(a)] @ rho @ proj_alice[str(a)]
-        for outcomes in itertools.product("+-", repeat=len(proj_collab)):
+        rho_a = _apply_channel_matrix(rho, (proj_alice[str(a)],), ALICE_QUBIT, m)
+        for outcomes in itertools.product("+-", repeat=len(helpers)):
             branch = rho_a
-            for projs, o in zip(proj_collab, outcomes):
-                branch = projs[o] @ branch @ projs[o]
+            for q, o in zip(helpers, outcomes):
+                branch = _apply_channel_matrix(branch, (proj_collab[o],), q, m)
             bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
             prob = float(bob.trace().real)
             label = protocol._correction_label(a, outcomes)
@@ -90,7 +93,7 @@ def reference_execute(rho, cfg, secret, iteration_index, scale):
 def reference_reset(state):
     out = []
     for outcome, proj in _PROJECTORS["computational"]:
-        projected = proj @ state.matrix @ proj
+        projected = _apply_channel_matrix(state.matrix, (proj,), 0, 1)
         prob = float(projected.trace().real)
         if prob <= ZERO_BRANCH_ATOL:
             continue
@@ -220,3 +223,54 @@ def test_reset_that_misses_zero_is_loud(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="did not land on"):
         advance(state, cfg.secrets[1], cfg)
+
+
+def dense_sandwich(mat, operators, qubit, m):
+    out = np.zeros_like(mat)
+    for op in operators:
+        e = embed(op, [qubit], m)
+        out += e @ mat @ dagger(e)
+    return out
+
+
+DENSE_TOL = 1e-12
+
+_OPERATOR_SETS = {
+    "pdc": pdc(0.37).operators,
+    "adc": adc(0.61).operators,
+    "forward": (weak_op(FORWARD_NULL, 0.3).matrix,),
+    "reverse": (weak_op(REVERSE, 0.45).matrix,),
+    **{f"{basis}-{o}": (p,) for basis, projs in _PROJECTORS.items() for o, p in projs},
+    "su2": (su2(0.7, -1.3, 2.1),),
+}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("name", sorted(_OPERATOR_SETS))
+def test_axis_sandwich_matches_dense_embed(m, name):
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m))
+    rho = a @ dagger(a) / np.trace(a @ dagger(a)).real
+    for q in range(m):
+        new = _apply_channel_matrix(rho, _OPERATOR_SETS[name], q, m)
+        dense = dense_sandwich(rho, _OPERATOR_SETS[name], q, m)
+        assert np.max(np.abs(new - dense)) <= DENSE_TOL
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+def test_run_iteration_matches_dense_embed(parties, monkeypatch):
+    cfg = ProtocolConfig(
+        parties=parties,
+        secrets=(Secret(0.6, 0.8j),),
+        channel=NoiseSpec("adc", 0.35) if parties % 2 else NoiseSpec("pdc", 0.35),
+        wmrqm=Wmrqm(0.3, 0.4),
+    )
+    new = run_iteration(cfg, cfg.secrets[0])
+    monkeypatch.setattr(protocol, "_apply_channel_matrix", dense_sandwich)
+    dense = run_iteration(cfg, cfg.secrets[0])
+    assert len(new) == len(dense) == 2**parties
+    for r, d in zip(new, dense):
+        assert (r.alice_outcome, r.collaborator_outcomes) == (d.alice_outcome, d.collaborator_outcomes)
+        assert r.branch_probability == pytest.approx(d.branch_probability, rel=0, abs=DENSE_TOL)
+        assert r.fidelity == pytest.approx(d.fidelity, rel=0, abs=DENSE_TOL)
+        assert np.max(np.abs(r.reconstructed_state.matrix - d.reconstructed_state.matrix)) <= DENSE_TOL

@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qss_sim
 from qss_sim import analysis
 from qss_sim.cli import main
 from qss_sim.config import (
@@ -147,6 +150,38 @@ class TestRunCommand:
         )
         assert self.run_cli("run", "--config", str(dead))[0] == 4
 
+    def test_config_that_is_not_utf8_is_unreadable(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config: ")
+
+    def test_report_is_independent_of_the_blas_kernel(self, tmp_path):
+        # OPENBLAS_CORETYPE=Nehalem selects OpenBLAS kernels without fused
+        # multiply-add; the report must not depend on which kernel runs.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "parties = 7\niterations = 2\nsecrets = 0.683645, 0.952465\n"
+            "channel = adc\nstrength = 0.24881\nwmrqm_s = 0.123333\nwmrqm_r = 0.494117\n"
+            "return_channel = adc\nreturn_strength = 0.48257\n"
+        )
+        src = str(Path(qss_sim.__file__).resolve().parents[1])
+        outputs = []
+        for coretype in (None, "Nehalem"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from qss_sim.cli import main; sys.exit(main())",
+                 "run", "--config", str(cfg)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_zero_iterations_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("parties = 2\niterations = 0\nsecret_k = 0.5\n")
@@ -241,6 +276,14 @@ class TestSweepCommand:
             assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("error: cannot write output: ")
             assert sorted(tmp_path.rglob("*")) == before
+
+    def test_spec_that_is_not_utf8_is_unreadable(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read spec: ")
+        assert not out.exists()
 
     def test_out_of_domain_writes_nan_and_warning(self, tmp_path):
         spec = tmp_path / "s.spec"
