@@ -1,6 +1,6 @@
 """Closed-form fidelities, success probabilities and optimal strengths.
 
-Every quantity here is a scalar function of the secret parameter
+Every quantity here is a function of the secret parameter
 ``k = |alpha|^2`` and the channel/measurement strengths:
 
 * ``f_pd`` / ``avg_f_pd``: reconstruction fidelity under phase damping and
@@ -16,6 +16,16 @@ Every quantity here is a scalar function of the secret parameter
 
 Each closed form is cross-validated against the brute-force density-matrix
 simulator by the ``validate`` command and the test suite.
+
+A closed form takes floats and returns a Python float. ``r_opt``,
+``f0_ww``, ``sp2`` and ``in_validity_region``, the pieces of the
+optimal-reversal integrand, also take ``numpy`` arrays (broadcast against
+each other and against floats) and return one value per element; an array
+gets the same domain checks on every element and raises ``DomainError``
+if any element fails them. The array expressions keep the scalar operand
+order, so each element equals the scalar call's value bit for bit, and
+the quadrature behind ``avg_f_opt0`` and ``avg_success_opt0`` evaluates
+each batch of nodes in one call.
 """
 
 from __future__ import annotations
@@ -60,11 +70,37 @@ class DomainError(ValueError):
     """Input outside the domain where a formula is defined."""
 
 
-def _unit(value: float, name: str) -> float:
+# A float, or an array of floats evaluated element by element.
+FloatOrArray = float | np.ndarray
+
+
+def _unit(value: FloatOrArray, name: str) -> FloatOrArray:
+    """``value`` as a float, or as a float array, once every element is
+    checked to lie in ``[0, 1]`` (``nan`` fails)."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(float, copy=False)
+        _require((0.0 <= value) & (value <= 1.0), f"{name} must lie in [0, 1], got {{}}", value)
+        return value
     value = float(value)
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value}")
     return value
+
+
+def _require(ok: bool | np.ndarray, message: str, *values: FloatOrArray) -> None:
+    """Raise ``DomainError(message.format(*values))`` unless ``ok`` holds.
+
+    An array ``ok`` must hold at every element; the message then names the
+    ``values`` (broadcast against ``ok``) at the first element where it fails.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        bad = ~ok
+        values = tuple(float(np.broadcast_to(v, bad.shape)[bad][0]) for v in values)
+    elif ok:
+        return
+    raise DomainError(message.format(*values))
 
 
 def f_pd(k: float, q: float) -> float:
@@ -130,12 +166,13 @@ def sp1(k: float, s: float) -> float:
     return 0.5 * (1.0 + (1.0 - s)) * (1.0 - (1.0 - k) * s)
 
 
-def sp2(k: float, s: float, r: float, p: float) -> float:
+def sp2(k: FloatOrArray, s: FloatOrArray, r: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Overall survival probability of the full protection cycle.
 
     ``(1/2)(k(1-r) - (1-k) d (1-s))(2 - (1+p)r + d s)`` with ``d = pr-1``:
     the trace after forward measurement, amplitude damping of strength
     ``p`` and reversal of strength ``r`` on both transmitted qubits.
+    Takes floats or arrays.
     """
     k = _unit(k, "k")
     s = _unit(s, "s")
@@ -145,11 +182,12 @@ def sp2(k: float, s: float, r: float, p: float) -> float:
     return 0.5 * (k * (1.0 - r) - (1.0 - k) * d * (1.0 - s)) * (2.0 - (1.0 + p) * r + d * s)
 
 
-def f0_ww(k: float, s: float, r: float, p: float) -> float:
+def f0_ww(k: FloatOrArray, s: FloatOrArray, r: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Protected fidelity on the dealer-outcome-0 branches.
 
     Rational in all four arguments; undefined where the branch itself has
-    zero probability (``k(1-r)^2 + (1-k)(1-s)^2 (pr-1)^2 = 0``).
+    zero probability (``k(1-r)^2 + (1-k)(1-s)^2 (pr-1)^2 = 0``). Takes
+    floats or arrays; an array with any such element raises.
     """
     k = _unit(k, "k")
     s = _unit(s, "s")
@@ -158,10 +196,7 @@ def f0_ww(k: float, s: float, r: float, p: float) -> float:
     kb, sb, rb, pb = 1.0 - k, 1.0 - s, 1.0 - r, 1.0 - p
     d = p * r - 1.0
     den = k * rb * rb + kb * sb * sb * d * d
-    if den <= 0.0:
-        raise DomainError(
-            f"branch probability vanishes at k={k}, s={s}, r={r}, p={p}"
-        )
+    _require(den > 0.0, "branch probability vanishes at k={}, s={}, r={}, p={}", k, s, r, p)
     num = (
         k * k * rb * rb
         - kb * kb * sb * sb * pb * d
@@ -181,35 +216,46 @@ def region_bounds(p: float, s: float) -> tuple[float, float]:
     return lower, split
 
 
-def in_validity_region(k: float, s: float, p: float) -> bool:
+def in_validity_region(k: FloatOrArray, s: FloatOrArray, p: FloatOrArray) -> bool | np.ndarray:
     """Whether ``(k, s, p)`` lies where ``r_opt`` is the true maximizer.
 
     ``s = 0`` is admitted (the zero-strength forward measurement is the
     identity and the optimum is still interior there); ``p`` must be
-    strictly inside ``(0, 1)``.
+    strictly inside ``(0, 1)``. Given an array, answers per element as a
+    boolean array.
     """
+    if any(isinstance(v, np.ndarray) for v in (k, s, p)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lower, split = region_bounds(p, s)
+        return (
+            (0.0 < p) & (p < 1.0) & (0.0 <= s) & (s < 1.0)
+            & (((lower < k) & (k < split)) | ((split < k) & (k < 1.0)))
+        )
     if not (0.0 < p < 1.0 and 0.0 <= s < 1.0):
         return False
     lower, split = region_bounds(p, s)
     return (lower < k < split) or (split < k < 1.0)
 
 
-def r_opt(k: float, s: float, p: float) -> float:
+def r_opt(k: FloatOrArray, s: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Reversal strength maximizing ``f0_ww`` at fixed ``(k, s, p)``.
 
     Defined only inside the validity region (see ``in_validity_region``);
     outside it a ``DomainError`` is raised rather than returning a value
-    that would not be the maximizer.
+    that would not be the maximizer. Takes floats or arrays; an array with
+    any element outside the region raises.
     """
     k = _unit(k, "k")
     s = _unit(s, "s")
     p = _unit(p, "p")
-    if not in_validity_region(k, s, p):
-        raise DomainError(f"(k={k}, s={s}, p={p}) outside the optimality region")
+    _require(
+        in_validity_region(k, s, p), "(k={}, s={}, p={}) outside the optimality region", k, s, p
+    )
     sb, pb = 1.0 - s, 1.0 - p
     f = p + 2.0 * k * (1.0 - p * sb) - p * s
     arg = -k * pb * pb * sb * sb / ((k * (p * p * sb * sb - 1.0) - p * p * sb * sb) * f * f)
-    return -math.sqrt(arg) + (1.0 + (2.0 * k - 1.0) * s) / f
+    root = np.sqrt(arg) if isinstance(arg, np.ndarray) else math.sqrt(arg)
+    return -root + (1.0 + (2.0 * k - 1.0) * s) / f
 
 
 def _region_domain(p: float, s: float) -> tuple[float, float]:
@@ -223,11 +269,12 @@ def _region_domain(p: float, s: float) -> tuple[float, float]:
 
 def _region_average(p: float, s: float, form: Callable[..., float]) -> float:
     """Integral of ``form(k, s, r_opt(k, s, p), p)`` over the optimality
-    region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure."""
+    region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure.
+    The integrand takes each batch of quadrature nodes as one array."""
     p, s = _region_domain(p, s)
     lower, split = region_bounds(p, s)
 
-    def integrand(k: float) -> float:
+    def integrand(k: np.ndarray) -> np.ndarray:
         return form(k, s, r_opt(k, s, p), p)
 
     return adaptive_gauss_legendre(integrand, lower, split, tol=1e-11) + adaptive_gauss_legendre(

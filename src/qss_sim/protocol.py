@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +85,7 @@ __all__ = [
     "run_protocol",
     "success_probability",
     "aggregate_fidelity",
+    "left_sum",
 ]
 
 ALICE_QUBIT = 1
@@ -647,9 +648,22 @@ def run_protocol(cfg: ProtocolConfig) -> list[list[IterationReport]]:
     return out
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum of ``values`` added left to right from ``0.0``.
+
+    Builtin ``sum`` compensates float rounding from Python 3.12 on, so its
+    result would depend on the interpreter; this order gives every version
+    the bytes that 3.10 and 3.11 give.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def success_probability(reports: Sequence[IterationReport]) -> float:
-    """Total probability mass of the reported branches."""
-    return float(sum(r.branch_probability for r in reports))
+    """Total probability mass of the reported branches, summed in order."""
+    return float(left_sum(r.branch_probability for r in reports))
 
 
 def aggregate_fidelity(reports: Sequence[IterationReport]) -> float:
@@ -662,6 +676,6 @@ def aggregate_fidelity(reports: Sequence[IterationReport]) -> float:
     if total <= 0.0:
         raise ValueError("no surviving branch to aggregate over")
     return float(
-        sum(r.branch_probability * r.fidelity for r in reports if r.fidelity is not None)
+        left_sum(r.branch_probability * r.fidelity for r in reports if r.fidelity is not None)
         / total
     )

@@ -4,12 +4,18 @@
 to well below 1e-9. Integrands that involve the optimal reversal strength
 are only piecewise smooth near the region boundary, so an adaptive
 bisection wrapper is provided for them.
+
+Integrands take an array: ``f`` receives every node of every panel in one
+call and returns their values elementwise, so a batch of panels costs one
+integrand evaluation. Each panel's weighted sum is taken left to right
+from ``0.0``, node by node, which is the order of a scalar loop over the
+nodes; batching therefore never changes a result's bytes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,20 +28,50 @@ def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(f: Callable[[float], float], a: float, b: float, n: int = 64) -> float:
-    """Fixed-order Gauss-Legendre integral of ``f`` over ``[a, b]``."""
-    if b <= a:
-        return 0.0
+def gauss_legendre(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float | Sequence[float],
+    b: float | Sequence[float],
+    n: int = 64,
+) -> float | list[float]:
+    """Fixed-order Gauss-Legendre integral of ``f`` over ``[a, b]``.
+
+    ``f`` is called once, on the array of nodes, and must return its values
+    elementwise in the same shape. ``a`` and ``b`` are either floats, giving
+    one integral as a float, or equal-length sequences of panel ends, giving
+    a list with one integral per panel ``[a[i], b[i]]`` from the same single
+    call of ``f`` (nodes of shape ``(panels, n)``). An empty or reversed
+    panel integrates to ``0.0`` and contributes no nodes. Each panel's
+    ``w * f`` terms are summed left to right from ``0.0``.
+    """
     x, w = _nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = 0.0
-    for xi, wi in zip(x, w):
-        total += wi * f(mid + half * xi)
-    return half * total
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        if b <= a:
+            return 0.0
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return float(half * _weighted_sum(w, f(mid + half * x)))
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"panel ends must be equal-length sequences, not {lo.shape}, {hi.shape}")
+    out = np.zeros(lo.shape)
+    live = hi > lo
+    if live.any():
+        mid, half = 0.5 * (lo[live] + hi[live]), 0.5 * (hi[live] - lo[live])
+        out[live] = half * _weighted_sum(w, f(mid[:, None] + half[:, None] * x))
+    return out.tolist()
+
+
+def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum(w * values)`` over the last axis, left to right from ``0.0``.
+
+    ``np.cumsum`` accumulates in order; adding ``0.0`` afterwards turns a
+    ``-0.0`` total into ``0.0``, as a loop starting from ``0.0`` would.
+    """
+    return np.cumsum(w * np.asarray(values, dtype=float), axis=-1)[..., -1] + 0.0
 
 
 def adaptive_gauss_legendre(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
@@ -45,19 +81,27 @@ def adaptive_gauss_legendre(
     """Bisection-refined Gauss-Legendre integral.
 
     Each panel is accepted when halving it changes the estimate by less
-    than its share of ``tol``.
+    than its share of ``tol``. The whole interval and its two halves come
+    from one three-panel call of ``f``; each deeper level costs one
+    two-panel call per refined panel.
     """
 
-    def recurse(lo: float, hi: float, whole: float, budget: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        left = gauss_legendre(f, lo, mid, n)
-        right = gauss_legendre(f, mid, hi, n)
+    def settle(lo: float, hi: float, whole: float, left: float, right: float,
+               budget: float, depth: int) -> float:
         if depth >= max_depth or abs(left + right - whole) <= budget:
             return left + right
-        return recurse(lo, mid, left, budget / 2, depth + 1) + recurse(
+        mid = 0.5 * (lo + hi)
+        return refine(lo, mid, left, budget / 2, depth + 1) + refine(
             mid, hi, right, budget / 2, depth + 1
         )
 
+    def refine(lo: float, hi: float, whole: float, budget: float, depth: int) -> float:
+        mid = 0.5 * (lo + hi)
+        left, right = gauss_legendre(f, (lo, mid), (mid, hi), n)
+        return settle(lo, hi, whole, left, right, budget, depth)
+
     if b <= a:
         return 0.0
-    return recurse(a, b, gauss_legendre(f, a, b, n), tol, 0)
+    mid = 0.5 * (a + b)
+    whole, left, right = gauss_legendre(f, (a, a, mid), (b, mid, b), n)
+    return settle(a, b, whole, left, right, tol, 0)

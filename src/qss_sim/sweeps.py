@@ -86,6 +86,10 @@ QUANTITIES: dict[str, Quantity] = {name: _formula_quantity(name) for name in FOR
 QUANTITIES["sim_fidelity"] = Quantity("sim_fidelity", ("k",), _sim_fidelity)
 
 
+# Largest grid a spec may ask for; the committed figure specs use at most 714 points.
+MAX_GRID_POINTS = 10**6
+
+
 def _validate_spec(spec: SweepSpec) -> None:
     for q in spec.quantities:
         if q not in QUANTITIES:
@@ -105,6 +109,11 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigValidationError(
                 f"axis {name}: range [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1"
             )
+    points = math.prod(steps for *_, steps in spec.axes)
+    if points > MAX_GRID_POINTS:
+        raise ConfigValidationError(
+            f"grid has {points} points; at most {MAX_GRID_POINTS} are allowed"
+        )
     for name in spec.fixed:
         if name == "channel":
             continue

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .optimize import ScalarObjective, maximize_scalar
-from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, run_iteration
+from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, left_sum, run_iteration
 from .quadrature import gauss_legendre
 
 __all__ = ["CheckResult", "run_all", "render_report"]
@@ -76,7 +76,14 @@ def _branch_fidelities(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm | None)
 
 def _survival(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm) -> float:
     """Total simulated branch probability, summed in branch order."""
-    return sum(p for _, p in _branch_fidelities(k, channel, wmrqm).values())
+    return left_sum(p for _, p in _branch_fidelities(k, channel, wmrqm).values())
+
+
+def _per_node(g: Callable[[float], float]) -> Callable[[np.ndarray], list[float]]:
+    """One-panel ``gauss_legendre`` integrand that calls the scalar ``g``
+    once per node, in node order (the simulator and the overridable closed
+    forms take one ``k`` at a time)."""
+    return lambda ks: [g(k) for k in ks.tolist()]
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -148,14 +155,20 @@ def _suite_average(
 ) -> CheckResult:
     """Closed-form average over k versus 64-node quadrature of the pointwise form."""
     return _worst(name, tol, (
-        (f"strength={q:g}", abs(gauss_legendre(lambda k: pointwise(k, q), 0.0, 1.0) - average(q)))
+        (
+            f"strength={q:g}",
+            abs(gauss_legendre(_per_node(lambda k: pointwise(k, q)), 0.0, 1.0) - average(q)),
+        )
         for q in _grid(0.0, 1.0, n)
     ))
 
 
 def _suite_avg_f1(f1: Callable, avg: Callable, n: int, tol: float) -> CheckResult:
     return _worst("avg_f1 vs quadrature", tol, (
-        (f"p={p:g}, r={r:g}", abs(gauss_legendre(lambda k: f1(k, r, p), 0.0, 1.0) - avg(p, r)))
+        (
+            f"p={p:g}, r={r:g}",
+            abs(gauss_legendre(_per_node(lambda k: f1(k, r, p)), 0.0, 1.0) - avg(p, r)),
+        )
         for p, r in product(_grid(0.0, 1.0, n), _grid(0.0, 0.95, n))
     ))
 
@@ -204,17 +217,19 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
     """
 
     def aggregate(sim: dict) -> float:
-        return sum(f * p for f, p in sim.values()) / sum(p for _, p in sim.values())
+        return left_sum(f * p for f, p in sim.values()) / left_sum(p for _, p in sim.values())
 
     nodes = 21
     views = (("branch0", lambda sim: sim[(0, "+")][0]), ("aggregate", aggregate))
     gains = []
     for q in (0.25, 0.6, 1.0):
-        base = gauss_legendre(lambda k: analysis.f_pd(k, q), 0.0, 1.0, n=nodes)
+        base = gauss_legendre(_per_node(lambda k: analysis.f_pd(k, q)), 0.0, 1.0, n=nodes)
         for s, r in product(_grid(0.0, 0.7, n), repeat=2):
             for which, view in views:
                 protected = gauss_legendre(
-                    lambda k: view(_branch_fidelities(k, NoiseSpec("pdc", q), Wmrqm(s, r))),
+                    _per_node(
+                        lambda k: view(_branch_fidelities(k, NoiseSpec("pdc", q), Wmrqm(s, r)))
+                    ),
                     0.0, 1.0, n=nodes,
                 )
                 gains.append((protected - base, f"q={q:g}, s={s:g}, r={r:g}, {which}"))

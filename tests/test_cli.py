@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +312,23 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
         spec.write_text("quantity = sp2\naxis = s, 0, 1, 5\n")  # missing k, r, p
         assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
+
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
+        from qss_sim import sweeps
+
+        def build(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        # Were the check missing, the stub would stop the sweep, not numpy.
+        monkeypatch.setattr(sweeps, "np", SimpleNamespace(linspace=build))
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
+        spec.write_text("quantity = avg_f_pd\naxis = q, 0, 1, 1000000000\n")
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
+        assert not out.exists()
+        two_axes = "quantity = f_pd\naxis = k, 0, 1, {}\naxis2 = q, 0, 1, 1000\n"
+        with pytest.raises(ConfigValidationError, match="1001000 points"):
+            sweeps._validate_spec(sweep_spec_from_text(two_axes.format(1001)))
+        sweeps._validate_spec(sweep_spec_from_text(two_axes.format(1000)))
 
     @staticmethod
     def _sweep_values(tmp_path, text):

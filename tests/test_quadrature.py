@@ -1,0 +1,280 @@
+"""Batched quadrature and array closed forms against their per-node oracles.
+
+``oracle_gauss_legendre`` and ``oracle_adaptive`` are the scalar quadrature
+the package used before integrands took arrays: one call of ``f`` per node,
+summed in node order, and three separate panels per bisection step. The
+batched path must equal them bit for bit, and every array call of the
+closed forms behind the optimal-reversal averages must equal the scalar
+calls element by element.
+"""
+
+import math
+import sys
+import warnings
+from itertools import product
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qss_sim import protocol, validate
+from qss_sim.analysis import (
+    DomainError,
+    avg_f_opt0,
+    avg_success_opt0,
+    f0_ww,
+    in_validity_region,
+    r_opt,
+    region_bounds,
+    sp2,
+)
+from qss_sim.protocol import left_sum, success_probability
+from qss_sim.quadrature import _nodes, adaptive_gauss_legendre, gauss_legendre
+
+examples = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def oracle_gauss_legendre(f, a, b, n=64):
+    if b <= a:
+        return 0.0
+    x, w = _nodes(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    total = 0.0
+    for xi, wi in zip(x, w):
+        total += wi * f(mid + half * xi)
+    return half * total
+
+
+def oracle_adaptive(f, a, b, tol=1e-10, n=64, max_depth=12):
+    def recurse(lo, hi, whole, budget, depth):
+        mid = 0.5 * (lo + hi)
+        left = oracle_gauss_legendre(f, lo, mid, n)
+        right = oracle_gauss_legendre(f, mid, hi, n)
+        if depth >= max_depth or abs(left + right - whole) <= budget:
+            return left + right
+        return recurse(lo, mid, left, budget / 2, depth + 1) + recurse(
+            mid, hi, right, budget / 2, depth + 1
+        )
+
+    if b <= a:
+        return 0.0
+    return recurse(a, b, oracle_gauss_legendre(f, a, b, n), tol, 0)
+
+
+def oracle_region_average(p, s, form):
+    lower, split = region_bounds(p, s)
+
+    def integrand(k):
+        return form(k, s, r_opt(k, s, p), p)
+
+    return oracle_adaptive(integrand, lower, split, tol=1e-11) + oracle_adaptive(
+        integrand, split, 1.0, tol=1e-11
+    )
+
+
+def rational(x):
+    """Elementwise on floats and arrays alike: only + - * /, each rounded once."""
+    return (1.0 + 2.0 * x) / (3.0 + x * x) - 0.5 * x
+
+
+orders = st.sampled_from([5, 21, 33, 64])
+ends = st.floats(-2.0, 2.0)
+widths = st.floats(1e-3, 3.0)
+
+
+class TestBatchedGaussLegendre:
+    @examples
+    @given(a=ends, width=widths, n=orders)
+    def test_one_panel_equals_the_per_node_oracle(self, a, width, n):
+        assert gauss_legendre(rational, a, a + width, n) == oracle_gauss_legendre(
+            rational, a, a + width, n
+        )
+
+    @examples
+    @given(panels=st.lists(st.tuples(ends, widths), min_size=1, max_size=5), n=orders)
+    def test_each_batched_panel_equals_the_per_node_oracle(self, panels, n):
+        lo = [a for a, _ in panels] + [0.5]
+        hi = [a + width for a, width in panels] + [0.5]  # an empty panel last
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return rational(x)
+
+        got = gauss_legendre(f, lo, hi, n)
+        assert got == [oracle_gauss_legendre(rational, a, b, n) for a, b in zip(lo, hi)]
+        assert got[-1] == 0.0
+        assert calls == [(len(panels), n)]
+
+    def test_reversed_interval_is_zero_without_a_call(self):
+        def f(x):
+            raise AssertionError("integrand called")
+
+        assert gauss_legendre(f, 1.0, 0.5) == 0.0
+        assert gauss_legendre(f, [1.0, 0.2], [0.5, 0.2]) == [0.0, 0.0]
+
+    def test_panel_ends_must_pair_up(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(rational, [0.0, 0.5], [1.0])
+
+    def test_one_panel_returns_a_python_float(self):
+        assert type(gauss_legendre(rational, 0.0, 1.0)) is float
+
+
+class TestBatchedAdaptive:
+    @examples
+    @given(
+        kink=st.floats(0.05, 0.95),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+        n=orders,
+    )
+    def test_refined_integral_equals_the_oracle(self, kink, tol, n):
+        # |x - kink| is only piecewise smooth, so bisection goes deep near it.
+        def f(x):
+            return abs(x - kink) * rational(x)
+
+        got = adaptive_gauss_legendre(f, 0.0, 1.0, tol=tol, n=n, max_depth=8)
+        assert got == oracle_adaptive(f, 0.0, 1.0, tol=tol, n=n, max_depth=8)
+
+    def test_smooth_integrand_costs_one_three_panel_call(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return rational(x)
+
+        adaptive_gauss_legendre(f, 0.0, 1.0)
+        assert shapes == [(3, 64)]
+
+    def test_each_refinement_is_one_two_panel_call(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return abs(x - 0.3)
+
+        adaptive_gauss_legendre(f, 0.0, 1.0, tol=1e-12, max_depth=4)
+        assert shapes[0] == (3, 64) and len(shapes) > 1
+        assert set(shapes[1:]) == {(2, 64)}
+
+
+GRID = list(product((0.1, 0.5, 0.9), (0.0, 0.3, 0.8)))
+
+
+class TestOptimalReversalAverages:
+    @pytest.mark.parametrize("p, s", GRID)
+    def test_avg_f_opt0_equals_the_per_node_path(self, p, s):
+        assert avg_f_opt0(p, s) == oracle_region_average(p, s, f0_ww)
+
+    @pytest.mark.parametrize("p, s", GRID)
+    def test_avg_success_opt0_equals_the_per_node_path(self, p, s):
+        assert avg_success_opt0(p, s) == oracle_region_average(p, s, sp2)
+
+
+def _region_points(count, seed):
+    """``count`` random ``(k, s, p)`` inside the optimality region, ``s = 0`` included."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        p, s = rng.uniform(0.01, 0.99), (0.0 if len(points) % 5 == 0 else rng.uniform(0.0, 0.95))
+        k = rng.uniform(region_bounds(p, s)[0], 1.0)
+        if in_validity_region(k, s, p):
+            points.append((k, s, p))
+    return [np.array(column) for column in zip(*points)]
+
+
+class TestArrayClosedForms:
+    def test_r_opt_f0_ww_sp2_equal_the_scalar_calls(self):
+        for k, s, p in (_region_points(200, 1), _region_points(200, 2)):
+            r = r_opt(k, s, p)
+            assert r.tolist() == [r_opt(*args) for args in zip(k.tolist(), s.tolist(), p.tolist())]
+            rows = list(zip(k.tolist(), s.tolist(), r.tolist(), p.tolist()))
+            assert f0_ww(k, s, r, p).tolist() == [f0_ww(*args) for args in rows]
+            assert sp2(k, s, r, p).tolist() == [sp2(*args) for args in rows]
+
+    def test_array_k_broadcasts_against_float_s_and_p(self):
+        p, s = 0.6, 0.0
+        lower, split = region_bounds(p, s)
+        k = np.linspace(lower, 1.0, 203)[1:-1]
+        k = k[k != split]
+        r = r_opt(k, s, p)
+        assert r.tolist() == [r_opt(x, s, p) for x in k.tolist()]
+        assert f0_ww(k, s, r, p).tolist() == [
+            f0_ww(x, s, y, p) for x, y in zip(k.tolist(), r.tolist())
+        ]
+
+    def test_in_validity_region_per_element(self):
+        axis = np.linspace(0.0, 1.0, 11)
+        k, s, p = (a.ravel() for a in np.meshgrid(axis, axis, axis))
+        got = in_validity_region(k, s, p)
+        assert got.dtype == bool
+        assert got.tolist() == [
+            in_validity_region(*args) for args in zip(k.tolist(), s.tolist(), p.tolist())
+        ]
+
+    def test_out_of_range_arrays_answer_false_without_warnings(self):
+        # p = -1, s = 0 zeroes region_bounds' denominator; the scalar path
+        # answers False before it divides, and so must the array path.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = in_validity_region(np.array([0.5, 0.5]), 0.0, np.array([-1.0, 2.0]))
+        assert got.tolist() == [False, False] == [
+            in_validity_region(0.5, 0.0, -1.0), in_validity_region(0.5, 0.0, 2.0)
+        ]
+
+    def test_floats_give_python_floats(self):
+        r = r_opt(0.5, 0.3, 0.5)
+        assert type(r) is float
+        assert type(f0_ww(0.5, 0.3, r, 0.5)) is float
+        assert type(sp2(0.5, 0.3, r, 0.5)) is float
+
+    def test_node_outside_the_unit_interval_raises(self):
+        with pytest.raises(DomainError, match="k must lie in \\[0, 1\\], got 1.5"):
+            r_opt(np.array([0.5, 1.5, 0.7]), 0.3, 0.5)
+        with pytest.raises(DomainError, match="r must lie"):
+            sp2(0.5, 0.3, np.array([0.2, -0.1]), 0.5)
+
+    def test_nan_node_raises(self):
+        with pytest.raises(DomainError, match="got nan"):
+            r_opt(np.array([0.5, math.nan]), 0.3, 0.5)
+        with pytest.raises(DomainError):
+            f0_ww(np.array([0.5, math.nan]), 0.3, 0.2, 0.5)
+
+    def test_node_outside_the_region_raises(self):
+        p, s = 0.5, 0.3
+        lower, _ = region_bounds(p, s)
+        with pytest.raises(DomainError, match=f"k={lower / 2}, s=0.3, p=0.5"):
+            r_opt(np.array([0.6, lower / 2, 0.7]), s, p)
+
+    def test_vanishing_branch_raises_at_that_element(self):
+        with pytest.raises(DomainError, match="vanishes at k=1.0, s=0.3, r=1.0, p=0.5"):
+            f0_ww(np.array([0.5, 1.0]), 0.3, np.array([0.2, 1.0]), 0.5)
+
+
+class TestLeftToRightSums:
+    VALUES = [0.5] + [1e-17] * 8
+
+    def test_tiny_terms_vanish_in_order(self):
+        assert left_sum(self.VALUES) == 0.5
+        reports = [SimpleNamespace(branch_probability=v) for v in self.VALUES]
+        assert success_probability(reports) == 0.5
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum compensates from 3.12")
+    def test_builtin_sum_would_differ(self):
+        assert sum(self.VALUES) == 0.5000000000000001
+
+    def test_no_probability_sum_goes_through_builtin_sum(self, monkeypatch):
+        # A compensated stand-in for 3.12's builtin sum, on every version.
+        def compensated(values, start=0):
+            return math.fsum(values) + start
+
+        assert compensated(self.VALUES) == 0.5000000000000001
+        for module in (protocol, validate):
+            monkeypatch.setattr(module, "sum", compensated, raising=False)
+        reports = [SimpleNamespace(branch_probability=v, fidelity=1.0) for v in self.VALUES]
+        assert success_probability(reports) == 0.5
+        branches = {index: (1.0, v) for index, v in enumerate(self.VALUES)}
+        monkeypatch.setattr(validate, "_branch_fidelities", lambda k, channel, wmrqm: branches)
+        assert validate._survival(0.5, None, None) == 0.5
