@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _qubit_fidelity
 from .protocol import Secret
 from .quadrature import adaptive_gauss_legendre
 from .tolerances import POLE_ATOL, equality_atol
@@ -371,8 +371,7 @@ def fidelity(secret: Secret, rho: DensityMatrix) -> float:
         raise ValueError(f"expected a single-qubit state, got {rho.num_qubits} qubits")
     if abs(rho.trace - 1.0) > equality_atol():
         raise ValueError(f"state must be normalized, trace = {rho.trace}")
-    v = secret.vector()
-    return float(np.real(v.conj() @ rho.matrix @ v))
+    return _qubit_fidelity(secret.vector(), rho.matrix)
 
 
 @dataclass(frozen=True)
@@ -382,12 +381,6 @@ class FidelityFormula:
     name: str
     params: tuple[str, ...]
     fn: Callable[..., float]
-
-    def __call__(self, **bindings: float) -> float:
-        missing = [p for p in self.params if p not in bindings]
-        if missing:
-            raise DomainError(f"{self.name} needs parameter(s) {missing}")
-        return self.fn(*(bindings[p] for p in self.params))
 
 
 FORMULAS: dict[str, FidelityFormula] = {

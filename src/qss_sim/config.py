@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm
+from .protocol import MAX_ITERATIONS, NoiseSpec, ProtocolConfig, Secret, Wmrqm
 
 __all__ = ["ConfigError", "ConfigValidationError", "parse_kv", "run_config_from_text", "SweepSpec", "sweep_spec_from_text"]
 
@@ -69,7 +69,7 @@ _RUN_KEYS = {
 def run_config_from_text(text: str) -> ProtocolConfig:
     """Build a protocol run configuration from config text.
 
-    Keys: ``parties`` (receivers, 2 to 7), ``iterations`` (at least 1),
+    Keys: ``parties`` (receivers, 2 to 7), ``iterations`` (1 to 1000),
     ``secret_k`` or a comma-separated ``secrets`` list (one k per iteration),
     ``channel`` / ``strength``, optional ``wmrqm_s`` / ``wmrqm_r`` (both or
     neither) and optional ``return_channel`` / ``return_strength``.
@@ -81,6 +81,9 @@ def run_config_from_text(text: str) -> ProtocolConfig:
 
     parties = _parse_int(pairs, "parties") if "parties" in pairs else 2
     iterations = _parse_int(pairs, "iterations") if "iterations" in pairs else 1
+    if iterations > MAX_ITERATIONS:
+        # before ``secret_k`` is repeated once per iteration
+        raise ConfigValidationError(f"at most {MAX_ITERATIONS} iterations, got {iterations}")
 
     if "secrets" in pairs and "secret_k" in pairs:
         raise ConfigValidationError("give either secret_k or secrets, not both")

@@ -71,6 +71,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def _qubit_fidelity(v: np.ndarray, mat: np.ndarray) -> float:
+    """``Re <v|mat|v>`` for a qubit vector and a 2x2 matrix, written out
+    elementwise: a BLAS product rounds differently on FMA and non-FMA kernels."""
+    row = np.conj(v[0]) * mat[0] + np.conj(v[1]) * mat[1]
+    return float((row[0] * v[0] + row[1] * v[1]).real)
+
+
 def _num_qubits(dim: int) -> int:
     m = int(round(np.log2(dim)))
     if 2**m != dim:

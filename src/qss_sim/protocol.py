@@ -59,6 +59,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     _partial_trace_matrix,
+    _qubit_fidelity,
     dagger,
     embed,
 )
@@ -93,6 +94,12 @@ ALICE_QUBIT = 1
 # Largest receiver count: the register (receivers plus the dealer) is held
 # as a dense 2^m-square matrix, and 8 qubits is the documented cap.
 MAX_PARTIES = 7
+
+# Largest iteration count. Runs use 1 to 3 rounds and the report grows with
+# each (about 38 kB per round at 7 receivers), so 1,000 is far past any use,
+# while a count like 10^12 is refused before a secret list of that length
+# is asked for.
+MAX_ITERATIONS = 1000
 
 # Branches below this (per-iteration) probability are reported but carry no
 # reconstructed state; they are never divided by.
@@ -168,8 +175,8 @@ class ProtocolConfig:
     """Full description of a protocol run.
 
     ``parties`` counts the receivers (the dealer is extra), from 2 to
-    ``MAX_PARTIES``; ``iterations`` is at least 1, with one secret per
-    iteration; ``channel`` may be a single spec applied to every
+    ``MAX_PARTIES``; ``iterations`` runs from 1 to ``MAX_ITERATIONS``, with
+    one secret per iteration; ``channel`` may be a single spec applied to every
     transmitted qubit, or one entry per transmitted qubit (``None`` =
     noiseless leg). ``return_channel`` optionally adds noise to the
     helpers' qubits on their way back to the dealer between iterations; the
@@ -193,6 +200,8 @@ class ProtocolConfig:
             )
         if self.iterations < 1:
             raise ValueError(f"need at least 1 iteration, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValueError(f"at most {MAX_ITERATIONS} iterations, got {self.iterations}")
         secrets = tuple(self.secrets)
         object.__setattr__(self, "secrets", secrets)
         if len(secrets) != self.iterations:
@@ -469,7 +478,7 @@ def _execute_iteration(
         else:
             u = correction(a, outcomes)
             fixed = u @ (bob / prob) @ dagger(u)
-            fid = float(np.real(secret_vec.conj() @ fixed @ secret_vec))
+            fid = _qubit_fidelity(secret_vec, fixed)
             state, weight = DensityMatrix(fixed), prob * scale
             chain.append((weight, outcomes))
         reports.append(

@@ -7,12 +7,19 @@ literal ``nan`` and are counted in the trailing ``# warnings: N`` comment
 line. Output is bit-identical across repeated runs of the same spec:
 points are evaluated one after another and written in grid order.
 
+A spec is checked once, before its grid is built: unknown names, axis
+ranges, the grid size, missing parameters and, for ``sim_fidelity``, the
+channel kind, its strength and the s/r pairing all raise
+``ConfigValidationError`` before any point is computed. Evaluating a point
+can then fail only with a ``DomainError`` (written as ``nan``) or a fault.
+
 Ready-made specs reproducing the bundled figure datasets live in
 ``sweepspecs/`` (see the README for the column schema of each).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -25,26 +32,7 @@ from .protocol import (
     NoiseSpec, ProtocolConfig, Secret, Wmrqm, aggregate_fidelity, run_iteration, success_probability
 )
 
-__all__ = ["QUANTITIES", "Quantity", "run_sweep", "write_csv", "format_float"]
-
-
-class Quantity:
-    """A sweepable scalar: required parameter names plus an evaluator.
-
-    ``evaluate`` receives the full binding dict so quantities with optional
-    parameters (the simulator) can pick up what is present.
-    """
-
-    def __init__(self, name: str, params: tuple[str, ...], fn: Callable[[dict], float]):
-        self.name = name
-        self.params = params
-        self._fn = fn
-
-    def evaluate(self, bindings: dict[str, float | str]) -> float:
-        missing = [p for p in self.params if p not in bindings]
-        if missing:
-            raise ConfigValidationError(f"{self.name} needs parameter(s) {missing}")
-        return self._fn(bindings)
+__all__ = ["QUANTITIES", "run_sweep", "write_csv", "format_float"]
 
 
 def _sim_fidelity(bindings: dict[str, float | str]) -> float:
@@ -53,15 +41,9 @@ def _sim_fidelity(bindings: dict[str, float | str]) -> float:
     Undefined, as a ``DomainError``, where ``r = r_opt`` did not resolve
     (``nan``) or where no branch survives the post-selection.
     """
-    kind = bindings.get("channel", "none")
-    if kind not in ("pdc", "adc", "none"):
-        raise ConfigValidationError(f"sim_fidelity channel must be pdc, adc or none, got {kind!r}")
-    if kind != "none" and "strength" not in bindings:
-        raise ConfigValidationError("sim_fidelity with a channel needs strength")
-    if ("s" in bindings) != ("r" in bindings):
-        raise ConfigValidationError("sim_fidelity needs s and r together or neither")
     if "r" in bindings and math.isnan(float(bindings["r"])):
         raise DomainError("reversal strength r = r_opt is undefined here")
+    kind = bindings.get("channel", "none")
     secret = Secret.from_k(float(bindings["k"]))
     cfg = ProtocolConfig(
         parties=2,
@@ -75,15 +57,14 @@ def _sim_fidelity(bindings: dict[str, float | str]) -> float:
     return aggregate_fidelity(reports)
 
 
-def _formula_quantity(name: str) -> Quantity:
-    formula = FORMULAS[name]
-    return Quantity(
-        name, formula.params, lambda b: formula.fn(*(float(b[p]) for p in formula.params))
-    )
-
-
-QUANTITIES: dict[str, Quantity] = {name: _formula_quantity(name) for name in FORMULAS}
-QUANTITIES["sim_fidelity"] = Quantity("sim_fidelity", ("k",), _sim_fidelity)
+# Each quantity's required parameters and its evaluator, which receives the
+# whole binding dict. A formula's evaluator reads ``FidelityFormula.fn`` at
+# call time, so a wrapper installed on the formula is seen.
+QUANTITIES: dict[str, tuple[tuple[str, ...], Callable[[dict], float]]] = {
+    name: (f.params, lambda b, f=f: f.fn(*(float(b[p]) for p in f.params)))
+    for name, f in FORMULAS.items()
+}
+QUANTITIES["sim_fidelity"] = (("k",), _sim_fidelity)
 
 
 # Largest grid a spec may ask for; the committed figure specs use at most 714 points.
@@ -91,6 +72,8 @@ MAX_GRID_POINTS = 10**6
 
 
 def _validate_spec(spec: SweepSpec) -> None:
+    """Raise ``ConfigValidationError`` unless every point of the spec can be
+    evaluated; the one place a spec is checked, before any grid is built."""
     for q in spec.quantities:
         if q not in QUANTITIES:
             raise ConfigValidationError(
@@ -130,9 +113,17 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.fixed.get("r") == "r_opt" and not {"k", "s", "p"} <= available:
         raise ConfigValidationError("r = r_opt needs k, s and p bound")
     for q in spec.quantities:
-        missing = set(QUANTITIES[q].params) - available
+        missing = set(QUANTITIES[q][0]) - available
         if missing:
             raise ConfigValidationError(f"{q} needs parameter(s) {sorted(missing)}")
+    if "sim_fidelity" in spec.quantities:
+        kind = spec.fixed.get("channel", "none")
+        if kind not in ("pdc", "adc", "none"):
+            raise ConfigValidationError(f"sim_fidelity channel must be pdc, adc or none, got {kind!r}")
+        if kind != "none" and "strength" not in available:
+            raise ConfigValidationError("sim_fidelity with a channel needs strength")
+        if ("s" in available) != ("r" in available):
+            raise ConfigValidationError("sim_fidelity needs s and r together or neither")
 
 
 def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[list[float], int]:
@@ -148,7 +139,7 @@ def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[
             resolved["r"] = math.nan
     for q in spec.quantities:
         try:
-            value = QUANTITIES[q].evaluate(resolved)
+            value = QUANTITIES[q][1](resolved)
         except DomainError:
             value = math.nan
         if isinstance(value, float) and math.isnan(value):
@@ -163,14 +154,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]], int]:
     grids = [np.linspace(lo, hi, steps) for _, lo, hi, steps in spec.axes]
     names = [name for name, *_ in spec.axes]
 
-    points: list[dict[str, float | str]] = []
-    if len(grids) == 1:
-        for x in grids[0]:
-            points.append({names[0]: float(x), **spec.fixed})
-    else:
-        for x in grids[0]:
-            for y in grids[1]:
-                points.append({names[0]: float(x), names[1]: float(y), **spec.fixed})
+    points = [dict(zip(names, map(float, xs)), **spec.fixed) for xs in itertools.product(*grids)]
 
     results = [_evaluate_point(spec, b) for b in points]
 

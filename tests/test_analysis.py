@@ -333,11 +333,6 @@ class TestFormulaRegistry:
                         assert 0.0 <= f0_ww(k, s, r, p) <= 1.0 + 1e-12
                         assert 0.0 <= f1_ww(k, r, p) <= 1.0 + 1e-12
 
-    def test_named_invocation(self):
-        assert FORMULAS["f_pd"](k=0.5, q=0.5) == pytest.approx(f_pd(0.5, 0.5))
-        with pytest.raises(DomainError):
-            FORMULAS["f_pd"](k=0.5)
-
     def test_registry_covers_sweepable_quantities(self):
         for name in ("avg_f_pd", "avg_f_ad", "avg_f_opt0", "avg_f1", "sp2", "f0_ww", "f1_ww"):
             assert name in FORMULAS

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 
 from qss_sim import linalg, protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
-from qss_sim.linalg import KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, dagger, embed, su2
+from qss_sim.linalg import (
+    KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, _qubit_fidelity, dagger, embed, su2
+)
 from qss_sim.protocol import (
     ALICE_QUBIT,
     ZERO_BRANCH_ATOL,
@@ -80,7 +82,7 @@ def reference_execute(rho, cfg, secret, iteration_index, scale):
                 continue
             u = protocol.correction(a, outcomes)
             fixed = u @ (bob / prob) @ dagger(u)
-            fid = float(np.real(secret_vec.conj() @ fixed @ secret_vec))
+            fid = _qubit_fidelity(secret_vec, fixed)
             reports.append(
                 IterationReport(
                     iteration_index, a, outcomes, label, DensityMatrix(fixed), fid, prob * scale

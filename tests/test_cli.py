@@ -19,6 +19,7 @@ from qss_sim.config import (
     run_config_from_text,
     sweep_spec_from_text,
 )
+from qss_sim.protocol import MAX_ITERATIONS, ProtocolConfig, Secret
 from qss_sim.sweeps import format_float, run_sweep
 from qss_sim.tolerances import equality_atol
 
@@ -159,7 +160,8 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot read config: ")
 
-    def test_report_is_independent_of_the_blas_kernel(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_report_is_independent_of_the_blas_kernel(self, tmp_path, command):
         # OPENBLAS_CORETYPE=Nehalem selects OpenBLAS kernels without fused
         # multiply-add; the report must not depend on which kernel runs.
         cfg = tmp_path / "run.cfg"
@@ -168,6 +170,7 @@ class TestRunCommand:
             "channel = adc\nstrength = 0.24881\nwmrqm_s = 0.123333\nwmrqm_r = 0.494117\n"
             "return_channel = adc\nreturn_strength = 0.48257\n"
         )
+        argv = {"run": ["run", "--config", str(cfg)], "validate": ["validate", "--grid", "fine"]}[command]
         src = str(Path(qss_sim.__file__).resolve().parents[1])
         outputs = []
         for coretype in (None, "Nehalem"):
@@ -177,7 +180,7 @@ class TestRunCommand:
                 env["OPENBLAS_CORETYPE"] = coretype
             proc = subprocess.run(
                 [sys.executable, "-c", "import sys; from qss_sim.cli import main; sys.exit(main())",
-                 "run", "--config", str(cfg)],
+                 *argv],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             outputs.append(proc.stdout)
@@ -191,6 +194,18 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid config: ")
         assert "at least 1 iteration" in captured.err
+
+    def test_iterations_beyond_the_cap_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"parties = 2\niterations = {MAX_ITERATIONS + 1}\nsecret_k = 0.5\n")
+        assert main(["run", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid config: ")
+        assert f"at most {MAX_ITERATIONS} iterations" in captured.err
+        secrets = (Secret.from_k(0.5),) * (MAX_ITERATIONS + 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_ITERATIONS} iterations"):
+            ProtocolConfig(parties=2, secrets=secrets, iterations=MAX_ITERATIONS + 1)
 
     def test_report_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -330,6 +345,30 @@ class TestSweepCommand:
             sweeps._validate_spec(sweep_spec_from_text(two_axes.format(1001)))
         sweeps._validate_spec(sweep_spec_from_text(two_axes.format(1000)))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("channel = xyz\n", "channel must be pdc, adc or none, got 'xyz'"),
+            ("channel = adc\n", "with a channel needs strength"),
+            ("s = 0.3\n", "needs s and r together or neither"),
+            ("axis2 = r, 0, 1, 3\n", "needs s and r together or neither"),
+        ],
+    )
+    def test_sim_fidelity_spec_is_refused_before_the_grid_is_built(
+        self, tmp_path, monkeypatch, capsys, text, message
+    ):
+        from qss_sim import sweeps
+
+        def build(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(sweeps, "np", SimpleNamespace(linspace=build))
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
+        spec.write_text("quantity = sim_fidelity\naxis = k, 0, 1, 5\n" + text)
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     @staticmethod
     def _sweep_values(tmp_path, text):
         spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
@@ -363,7 +402,7 @@ class TestSweepCommand:
         def broken(bindings):
             return 1.0 / (bindings["q"] - bindings["q"])
 
-        monkeypatch.setitem(sweeps.QUANTITIES, "f_pd", sweeps.Quantity("f_pd", ("k", "q"), broken))
+        monkeypatch.setitem(sweeps.QUANTITIES, "f_pd", (("k", "q"), broken))
         spec = sweep_spec_from_text("quantity = f_pd\naxis = k, 0, 1, 3\nq = 0.5\n")
         with pytest.raises(ZeroDivisionError):
             run_sweep(spec)
