@@ -47,7 +47,6 @@ from .linalg import (
     max_eigenvalue,
     partial_trace,
     su2,
-    tensor,
 )
 from .optimize import (
     ScalarObjective,

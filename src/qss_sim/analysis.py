@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import DensityMatrix, _qubit_fidelity
 from .protocol import Secret
 from .quadrature import adaptive_gauss_legendre
-from .tolerances import POLE_ATOL, equality_atol
+from .tolerances import ATOL, POLE_ATOL
 
 __all__ = [
     "DomainError",
@@ -369,7 +369,7 @@ def fidelity(secret: Secret, rho: DensityMatrix) -> float:
     """Overlap ``<psi| rho |psi>`` of a secret with a reconstructed qubit."""
     if rho.num_qubits != 1:
         raise ValueError(f"expected a single-qubit state, got {rho.num_qubits} qubits")
-    if abs(rho.trace - 1.0) > equality_atol():
+    if abs(rho.trace - 1.0) > ATOL:
         raise ValueError(f"state must be normalized, trace = {rho.trace}")
     return _qubit_fidelity(secret.vector(), rho.matrix)
 

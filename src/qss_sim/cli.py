@@ -4,9 +4,10 @@ Three subcommands:
 
 * ``run --config <path>``: execute a configured protocol (all iterations,
   recycling included) and print a JSON report to stdout;
-* ``sweep --spec <path> --out <path> [--workers N]``: evaluate quantities
-  on a parameter grid and write deterministic CSV (``--workers`` is
-  accepted and ignored: points are evaluated serially);
+* ``sweep --spec <path> --out <path>``: evaluate quantities on a parameter
+  grid and write deterministic CSV (a deprecated ``--workers N`` is
+  accepted with a warning on stderr and ignored: points are evaluated
+  serially);
 * ``validate [--grid coarse|fine]``: cross-validate every closed form
   against the brute-force simulator and print a residual table.
 
@@ -165,6 +166,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers is not None:
+        print("warning: --workers is ignored and will be removed", file=sys.stderr)
     spec, code = _load(args.spec, "spec", sweep_spec_from_text)
     if spec is None:
         return code
@@ -210,7 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="evaluate quantities on a grid, write CSV")
     p_sweep.add_argument("--spec", required=True, help="path to key=value sweep spec")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=1, help="ignored; evaluation is serial")
+    p_sweep.add_argument("--workers", type=int, help="deprecated and ignored; evaluation is serial")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="cross-validate closed forms vs simulator")

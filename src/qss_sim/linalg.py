@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything here is plain dense ``numpy`` over registers of at most 8 qubits:
-tensor (Kronecker) products, ``embed`` (the simulator lifts only CNOTs with
-it; ``channels`` applies one-qubit operators on a tensor axis), partial
-trace, Hermitian eigenvalues and a three-angle ``su2`` parameterization.
+``embed`` (the simulator lifts only CNOTs with it; ``channels`` applies
+one-qubit operators on a tensor axis), partial trace, Hermitian eigenvalues
+and a three-angle ``su2`` parameterization. Kronecker products are
+``np.kron`` itself.
 
 Conventions
 -----------
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tolerances import LINALG_ATOL, equality_atol
+from .tolerances import ATOL, LINALG_ATOL
 
 __all__ = [
     "ID2",
@@ -38,8 +39,6 @@ __all__ = [
     "KET_MINUS",
     "PureState",
     "DensityMatrix",
-    "tensor",
-    "tensor_all",
     "embed",
     "partial_trace",
     "max_eigenvalue",
@@ -96,7 +95,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         _num_qubits(amps.size)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > equality_atol():
+        if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
 
     @property
@@ -126,15 +125,14 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         _num_qubits(mat.shape[0])
-        atol = equality_atol()
         herm = float(np.max(np.abs(mat - dagger(mat))))
-        if herm > atol:
+        if herm > ATOL:
             raise ValueError(f"matrix is not Hermitian: residual {herm}")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -atol:
+        if eigs[0] < -ATOL:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {eigs[0]}")
         tr = float(mat.trace().real)
-        if not 0.0 < tr <= 1.0 + atol:
+        if not 0.0 < tr <= 1.0 + ATOL:
             raise ValueError(f"trace must lie in (0, 1], got {tr}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "trace", tr)
@@ -150,21 +148,6 @@ class DensityMatrix:
     def normalized(self) -> "DensityMatrix":
         """Unit-trace copy."""
         return DensityMatrix(self.matrix / self.trace)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of factors, left to right."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def embed(op: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:

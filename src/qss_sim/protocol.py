@@ -17,11 +17,11 @@ One iteration shares a single-qubit secret ``alpha|0> + beta|1>`` among
 Between iterations the helper receivers return their (collapsed) qubits;
 the dealer resets each to ``|0>`` by a projective measurement plus a
 conditional bit flip, adds a fresh ``|+>`` qubit, and rebuilds the resource
-for the next secret. The reset lands on ``|0>`` whatever it receives, so
-every carried branch re-enters the same register: the next iteration runs
-once, weighted by the total probability carried over. The return trip and
-the reset are computed once per announced label and checked to give
-``|0><0|``.
+for the next secret. The return trip and the reset are computed once per
+announced label and checked to give ``|0><0|``. So the recycled register is
+``|+>|0...0>`` again, and the next iteration runs on the same fresh encoded
+register as the first, scaled by the total probability carried over: round
+k does not depend on the noise of round k-1.
 
 Register layout: qubit 1 of the shared state is the first helper's, qubit 2
 is the dealer's, the reconstructor holds the last qubit. All measurement
@@ -63,7 +63,7 @@ from .linalg import (
     dagger,
     embed,
 )
-from .tolerances import LINALG_ATOL, equality_atol
+from .tolerances import ATOL, LINALG_ATOL
 
 __all__ = [
     "Secret",
@@ -117,7 +117,7 @@ class Secret:
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError(f"secret amplitudes must be finite, got {self.alpha}, {self.beta}")
         norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm2 - 1.0) > equality_atol():
+        if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"secret amplitudes are not normalized: {norm2}")
 
     @classmethod
@@ -278,8 +278,8 @@ class ProtocolState:
     Each branch records its joint probability and the helpers' collapsed
     qubits (as Hadamard-basis outcome labels, which determine the returned
     pure states exactly). ``advance`` sums these weights, times the reset
-    outcome probabilities of the returned qubits, into the one weight of the
-    recycled register.
+    outcome probabilities of the returned qubits, into the one weight that
+    scales the next iteration.
     """
 
     parties: int
@@ -360,7 +360,7 @@ def encode_secret(secret: Secret, resource: PureState) -> PureState:
     n = resource.num_qubits
     ghz = np.zeros(2**n, dtype=complex)
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-    if not np.allclose(resource.amplitudes, ghz, atol=equality_atol()):
+    if not np.allclose(resource.amplitudes, ghz, atol=ATOL):
         raise ValueError("resource is not the GHZ state produced by make_resource")
     amps = np.kron(secret.vector(), resource.amplitudes)
     amps = _cnot(0, 1, n + 1) @ amps
@@ -429,18 +429,23 @@ def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: t
         yield from _project_branches(projected, rest, m, labels + (label,))
 
 
+def _encoded_density(secret: Secret, n: int) -> np.ndarray:
+    """``|psi><psi|`` of the secret encoded on a fresh n-qubit resource."""
+    amps = encode_secret(secret, make_resource(n)).amplitudes
+    return np.outer(amps, amps.conj())
+
+
 def _execute_iteration(
-    rho: np.ndarray,
     cfg: ProtocolConfig,
     secret: Secret,
     iteration_index: int,
     scale: float,
 ) -> tuple[list[IterationReport], list[tuple[float, tuple[str, ...]]]]:
-    """Run one iteration on an already-encoded register density matrix.
+    """Run one iteration on the freshly encoded register.
 
     ``scale`` multiplies every branch probability (joint weight of the
-    history that produced ``rho``). Returns the per-branch reports plus the
-    surviving branches for the next iteration.
+    history that led to this iteration). Returns the per-branch reports
+    plus the surviving branches for the next iteration.
 
     ``_project_branches`` walks the measurements depth-first, so branches
     that agree on their first d outcomes share one projected register. Each
@@ -450,6 +455,7 @@ def _execute_iteration(
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
+    rho = _encoded_density(secret, cfg.parties)
 
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
@@ -493,10 +499,6 @@ def _execute_iteration(
             )
         )
     return reports, chain
-
-
-def _encoded_density(secret: Secret, n: int) -> np.ndarray:
-    return encode_secret(secret, make_resource(n)).density().matrix
 
 
 def run_iteration(cfg: ProtocolConfig, secret: Secret) -> list[IterationReport]:
@@ -560,9 +562,7 @@ def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[Prot
     """Run the first iteration and keep the carry-over state for recycling."""
     if secret is None:
         secret = cfg.secrets[0]
-    reports, chain = _execute_iteration(
-        _encoded_density(secret, cfg.parties), cfg, secret, iteration_index=0, scale=1.0
-    )
+    reports, chain = _execute_iteration(cfg, secret, iteration_index=0, scale=1.0)
     return ProtocolState(cfg.parties, 1, tuple(chain)), reports
 
 
@@ -583,35 +583,21 @@ _OUTCOME_STATES = {"+": KET_PLUS, "-": KET_MINUS}
 _ZERO_STATE = np.outer(KET_0, KET_0.conj())
 
 
-def _recycled_density(
-    secret: Secret, reset_states: Sequence[np.ndarray], n: int
-) -> np.ndarray:
-    """Encoded register rebuilt from a fresh ``|+>`` and the reset helper qubits."""
-    resource = linalg.tensor_all([np.outer(KET_PLUS, KET_PLUS.conj()), *reset_states])
-    for q in range(n - 1):
-        gate = _cnot(q, q + 1, n)
-        resource = gate @ resource @ dagger(gate)
-    sv = secret.vector()
-    rho = np.kron(np.outer(sv, sv.conj()), resource)
-    gate = _cnot(0, 1, n + 1)
-    return gate @ rho @ dagger(gate)
-
-
 def advance(
     prev: ProtocolState, secret: Secret, cfg: ProtocolConfig
 ) -> tuple[ProtocolState, list[IterationReport]]:
     """Recycle the helpers' qubits and share the next secret.
 
     The returned qubits (optionally noisy on the way back) are measured and
-    flipped to ``|0>``, a fresh ``|+>`` heads the XOR chain that rebuilds
-    the resource, and the next iteration runs once, scaled by the total
-    weight of every carried branch and reset outcome. A returned qubit is
-    determined by its announced label, so the return trip and the reset are
-    computed once per label (``+``, ``-``), and each surviving reset state is
-    checked to be ``|0><0|`` to within ``LINALG_ATOL`` per entry (the
-    outcome-1 reset divides and flips, so its diagonal may read 1 - 2^-53).
-    That check is what makes recycling exact: every carried branch then
-    re-enters one register state, built from the first branch's reset states.
+    flipped to ``|0>``, and a fresh ``|+>`` heads the XOR chain that
+    rebuilds the resource. A returned qubit is determined by its announced
+    label, so the return trip and the reset are computed once per label
+    (``+``, ``-``), and each surviving reset state is checked to be
+    ``|0><0|`` to within ``LINALG_ATOL`` per entry (the outcome-1 reset
+    divides and flips, so its diagonal may read 1 - 2^-53). That check is
+    what makes recycling exact: the rebuilt resource is ``make_resource``'s,
+    so the next iteration runs once on the fresh encoded register, scaled by
+    the total weight of every carried branch and reset outcome.
     """
     if prev.parties != cfg.parties:
         raise ValueError("carry-over state and config disagree on party count")
@@ -638,11 +624,7 @@ def advance(
             weight += w * math.prod(p for p, _ in combo)
 
     reports, chain = _execute_iteration(
-        _recycled_density(secret, [resets[o][0][1] for o in prev.branches[0][1]], n),
-        cfg,
-        secret,
-        iteration_index=prev.next_iteration,
-        scale=weight,
+        cfg, secret, iteration_index=prev.next_iteration, scale=weight
     )
     return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
 

@@ -8,10 +8,11 @@ line. Output is bit-identical across repeated runs of the same spec:
 points are evaluated one after another and written in grid order.
 
 A spec is checked once, before its grid is built: unknown names, axis
-ranges, the grid size, missing parameters and, for ``sim_fidelity``, the
-channel kind, its strength and the s/r pairing all raise
-``ConfigValidationError`` before any point is computed. Evaluating a point
-can then fail only with a ``DomainError`` (written as ``nan``) or a fault.
+ranges, the grid size, missing parameters, a fixed binding that no
+requested quantity reads and, for ``sim_fidelity``, the channel kind, its
+strength and the s/r pairing all raise ``ConfigValidationError`` before
+any point is computed. Evaluating a point can then fail only with a
+``DomainError`` (written as ``nan``) or a fault.
 
 Ready-made specs reproducing the bundled figure datasets live in
 ``sweepspecs/`` (see the README for the column schema of each).
@@ -107,15 +108,11 @@ def _validate_spec(spec: SweepSpec) -> None:
         value = spec.fixed[name]
         if isinstance(value, float) and not 0.0 <= value <= 1.0:
             raise ConfigValidationError(f"fixed {name} = {value} outside [0, 1]")
-    # Every quantity must see all the parameters it needs; a floating
-    # reversal strength (r = r_opt) additionally needs (k, s, p) to resolve.
+    # The parameters the requested quantities read: a formula its own,
+    # ``sim_fidelity`` also its channel, the channel's strength and s/r, and
+    # a floating reversal strength (r = r_opt) the (k, s, p) it resolves from.
     available = seen | set(spec.fixed)
-    if spec.fixed.get("r") == "r_opt" and not {"k", "s", "p"} <= available:
-        raise ConfigValidationError("r = r_opt needs k, s and p bound")
-    for q in spec.quantities:
-        missing = set(QUANTITIES[q][0]) - available
-        if missing:
-            raise ConfigValidationError(f"{q} needs parameter(s) {sorted(missing)}")
+    read = {p for q in spec.quantities for p in QUANTITIES[q][0]}
     if "sim_fidelity" in spec.quantities:
         kind = spec.fixed.get("channel", "none")
         if kind not in ("pdc", "adc", "none"):
@@ -124,6 +121,21 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigValidationError("sim_fidelity with a channel needs strength")
         if ("s" in available) != ("r" in available):
             raise ConfigValidationError("sim_fidelity needs s and r together or neither")
+        read |= {"channel", "s", "r"} | ({"strength"} if kind != "none" else set())
+    floating_r = "r" in read and spec.fixed.get("r") == "r_opt"
+    if floating_r:
+        read |= {"k", "s", "p"}
+    stray = set(spec.fixed) - read
+    if stray:
+        raise ConfigValidationError(
+            f"fixed parameter(s) {sorted(stray)} not read by {', '.join(spec.quantities)}"
+        )
+    if floating_r and not {"k", "s", "p"} <= available:
+        raise ConfigValidationError("r = r_opt needs k, s and p bound")
+    for q in spec.quantities:
+        missing = set(QUANTITIES[q][0]) - available
+        if missing:
+            raise ConfigValidationError(f"{q} needs parameter(s) {sorted(missing)}")
 
 
 def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[list[float], int]:

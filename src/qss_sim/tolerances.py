@@ -5,16 +5,7 @@ for linear-algebra residuals such as channel completeness or unitarity
 (1e-12). Double precision over registers of at most 8 qubits keeps roundoff
 well below both. ``POLE_ATOL`` is the distance from a closed form's pole
 below which its value is refused rather than returned.
-
-The environment variable ``QSS_SIM_TOLERANCE_OVERRIDE`` loosens (or tightens)
-the general equality tolerance for exploratory runs. The cross-validation
-suites (``qss-sim validate``) never consult it: their per-formula tolerances
-are fixed.
 """
-
-from __future__ import annotations
-
-import os
 
 ATOL = 1e-10
 LINALG_ATOL = 1e-12
@@ -25,19 +16,3 @@ LINALG_ATOL = 1e-12
 # rational arithmetic): 4e-11 at d = 1e-5, inside the 1e-10 tolerance of the
 # protected fidelities, and 1e-6 at d = 1e-10.
 POLE_ATOL = 1e-5
-
-_ENV_OVERRIDE = "QSS_SIM_TOLERANCE_OVERRIDE"
-
-
-def equality_atol() -> float:
-    """Equality tolerance, honoring the environment override if set."""
-    raw = os.environ.get(_ENV_OVERRIDE)
-    if raw is None:
-        return ATOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_OVERRIDE} must be a real number, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{_ENV_OVERRIDE} must be positive, got {value}")
-    return value

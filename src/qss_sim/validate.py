@@ -5,8 +5,7 @@ reference (simulator branch fidelities, traces of unnormalized states,
 numeric quadrature or a numeric argmax) over a parameter grid and records
 the worst residual. These are the checks behind ``qss-sim validate``.
 
-Tolerances here are fixed per formula and deliberately ignore the
-``QSS_SIM_TOLERANCE_OVERRIDE`` environment variable.
+Tolerances here are fixed per formula.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ forms of ``protocol._execute_iteration`` and ``protocol.advance``: every
 measurement branch is projected from the dealer's root on its own, and
 recycling resets each helper qubit of each carried branch separately and
 merges the reset combinations whose states agree to within ``allclose``.
+Every merged reset state must be ``|0><0|``, so the next round runs on the
+fresh encoded register, as the first does;
+``test_recycled_register_is_the_fresh_encoding`` checks that rebuilding the
+register from the reset states gives it.
 The package shares projected prefixes between branches and computes each
 reset once per outcome label; both do the same floating-point operations
 as the reference, so every probability, fidelity, reconstructed matrix and
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss_sim import linalg, protocol
+from qss_sim import protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
 from qss_sim.linalg import (
     KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, _qubit_fidelity, dagger, embed, su2
@@ -45,7 +49,8 @@ from qss_sim.protocol import (
 _PROJECTORS = protocol._BASIS_PROJECTORS
 
 
-def reference_execute(rho, cfg, secret, iteration_index, scale):
+def reference_execute(cfg, secret, iteration_index, scale):
+    rho = protocol._encoded_density(secret, cfg.parties)
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
     if cfg.wmrqm is not None:
@@ -106,20 +111,21 @@ def reference_reset(state):
     return out
 
 
-def reference_advance(branches, next_iteration, secret, cfg):
-    """Returns the merged weights, the carried branches and the reports."""
-    n = cfg.parties
+def returned_qubit(label, return_channel):
+    vec = protocol._OUTCOME_STATES[label]
+    returned = DensityMatrix(np.outer(vec, vec.conj()))
+    if return_channel is not None:
+        returned = DensityMatrix(
+            _apply_channel_matrix(returned.matrix, return_channel.channel().operators, 0, 1)
+        )
+    return returned
+
+
+def reference_merge(branches, cfg):
+    """``(weight, reset states)`` of every distinct reset outcome, in order."""
     merged = []
     for weight, outcomes in branches:
-        per_qubit = []
-        for o in outcomes:
-            vec = protocol._OUTCOME_STATES[o]
-            returned = DensityMatrix(np.outer(vec, vec.conj()))
-            if cfg.return_channel is not None:
-                returned = DensityMatrix(
-                    _apply_channel_matrix(returned.matrix, cfg.return_channel.channel().operators, 0, 1)
-                )
-            per_qubit.append(reference_reset(returned))
+        per_qubit = [reference_reset(returned_qubit(o, cfg.return_channel)) for o in outcomes]
         for combo in itertools.product(*per_qubit):
             sub_prob = weight * float(np.prod([p for p, _ in combo]))
             states = tuple(s for _, s in combo)
@@ -129,18 +135,17 @@ def reference_advance(branches, next_iteration, secret, cfg):
                     break
             else:
                 merged.append((sub_prob, states))
+    return merged
 
+
+def reference_advance(branches, next_iteration, secret, cfg):
+    """Returns the merged weights, the carried branches and the reports."""
+    merged = reference_merge(branches, cfg)
     all_reports, next_branches = [], []
     for weight, reset_states in merged:
-        resource = linalg.tensor_all([np.outer(KET_PLUS, KET_PLUS.conj()), *reset_states])
-        for q in range(n - 1):
-            gate = protocol._cnot(q, q + 1, n)
-            resource = gate @ resource @ dagger(gate)
-        sv = secret.vector()
-        rho = np.kron(np.outer(sv, sv.conj()), resource)
-        gate = protocol._cnot(0, 1, n + 1)
-        rho = gate @ rho @ dagger(gate)
-        reports, chain = reference_execute(rho, cfg, secret, next_iteration, weight)
+        for state in reset_states:
+            assert np.max(np.abs(state - protocol._ZERO_STATE)) <= 1e-12
+        reports, chain = reference_execute(cfg, secret, next_iteration, weight)
         all_reports.extend(reports)
         next_branches.extend(chain)
     return [w for w, _ in merged], next_branches, all_reports
@@ -164,9 +169,7 @@ def assert_reports_identical(new, ref):
 def assert_matches_reference(cfg):
     secret = cfg.secrets[0]
     state, reports = start_chain(cfg, secret)
-    ref_reports, ref_chain = reference_execute(
-        protocol._encoded_density(secret, cfg.parties), cfg, secret, 0, 1.0
-    )
+    ref_reports, ref_chain = reference_execute(cfg, secret, 0, 1.0)
     assert_reports_identical(reports, ref_reports)
     assert state.branches == tuple(ref_chain)
 
@@ -225,6 +228,74 @@ def test_reset_that_misses_zero_is_loud(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="did not land on"):
         advance(state, cfg.secrets[1], cfg)
+
+
+RETURN_CHANNELS = [None] + [
+    NoiseSpec(kind, strength) for kind in ("pdc", "adc") for strength in (0.0, 0.3, 0.99, 1.0)
+]
+
+
+def rebuilt_register(secret, reset_states):
+    """The register built the long way: ``|+><+|`` and the reset helper
+    qubits, the resource's XOR chain and the secret's XOR, each CNOT applied
+    as a dense sandwich."""
+    n = len(reset_states) + 1
+    resource = np.outer(KET_PLUS, KET_PLUS.conj())
+    for state in reset_states:
+        resource = np.kron(resource, state)
+    for q in range(n - 1):
+        gate = protocol._cnot(q, q + 1, n)
+        resource = gate @ resource @ dagger(gate)
+    sv = secret.vector()
+    rho = np.kron(np.outer(sv, sv.conj()), resource)
+    gate = protocol._cnot(0, 1, n + 1)
+    return gate @ rho @ dagger(gate)
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+def test_recycled_register_is_the_fresh_encoding(parties):
+    helpers = parties - 1
+    for return_channel in RETURN_CHANNELS:
+        returned = [returned_qubit(label, return_channel) for label in "+-"]
+        survivors = [s for qubit in returned for _, s in protocol._reset_to_zero(qubit)]
+        # Each surviving reset state on every helper, and all of them in turn.
+        assignments = [(s,) * helpers for s in survivors]
+        assignments.append(tuple(survivors[i % len(survivors)] for i in range(helpers)))
+        for k in (0.0, 0.37, 1.0):
+            secret = Secret.from_k(k)
+            fresh = protocol._encoded_density(secret, parties)
+            for reset_states in assignments:
+                diff = np.max(np.abs(rebuilt_register(secret, reset_states) - fresh))
+                assert diff <= 1e-15, (return_channel, k, diff)
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+@pytest.mark.parametrize("protected", [False, True], ids=["plain", "wmrqm-return"])
+def test_round_k_equals_round_one_on_the_same_secret(parties, protected):
+    rounds = 3 if parties <= 5 else 2
+    cfg = ProtocolConfig(
+        parties=parties,
+        secrets=tuple(Secret.from_k(k) for k in (0.37, 0.81, 0.12)[:rounds]),
+        channel=NoiseSpec("adc", 0.45),
+        wmrqm=Wmrqm(0.3, 0.25) if protected else None,
+        iterations=rounds,
+        return_channel=NoiseSpec("adc", 0.5) if protected else None,
+    )
+    state, _ = start_chain(cfg)
+    for secret in cfg.secrets[1:]:
+        (w, _), = reference_merge(state.branches, cfg)
+        state, reports = advance(state, secret, cfg)
+        single = run_iteration(cfg, secret)
+        assert len(reports) == len(single) == 2**parties
+        for r, s in zip(reports, single):
+            assert r.collaborator_outcomes == s.collaborator_outcomes
+            assert r.alice_outcome == s.alice_outcome
+            assert r.fidelity == s.fidelity
+            assert r.branch_probability == s.branch_probability * w
+            if s.reconstructed_state is None:
+                assert r.reconstructed_state is None
+            else:
+                assert np.array_equal(r.reconstructed_state.matrix, s.reconstructed_state.matrix)
 
 
 def dense_sandwich(mat, operators, qubit, m):

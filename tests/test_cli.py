@@ -21,7 +21,6 @@ from qss_sim.config import (
 )
 from qss_sim.protocol import MAX_ITERATIONS, ProtocolConfig, Secret
 from qss_sim.sweeps import format_float, run_sweep
-from qss_sim.tolerances import equality_atol
 
 
 class TestKvParser:
@@ -369,6 +368,56 @@ class TestSweepCommand:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "quantity = f_pd\naxis = k, 0, 1, 3\nq = 0.5\nchannel = xyz\ns = 0.3\n",
+                "fixed parameter(s) ['channel', 's'] not read by f_pd",
+            ),
+            (
+                "quantity = f_pd\naxis = k, 0, 1, 3\nq = 0.5\nr = r_opt\n",
+                "fixed parameter(s) ['r'] not read by f_pd",
+            ),
+            (
+                "quantity = sim_fidelity\naxis = k, 0, 1, 3\nchannel = none\nstrength = 0.3\n",
+                "fixed parameter(s) ['strength'] not read by sim_fidelity",
+            ),
+        ],
+    )
+    def test_unread_fixed_binding_is_refused(self, tmp_path, monkeypatch, capsys, text, message):
+        from qss_sim import sweeps
+
+        def build(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(sweeps, "np", SimpleNamespace(linspace=build))
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
+        spec.write_text(text)
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_bindings_read_through_r_opt_and_the_channel_are_accepted(self):
+        from qss_sim import sweeps
+
+        for text in (
+            "quantity = sim_fidelity\naxis = k, 0, 1, 3\ns = 0.2\nr = r_opt\np = 0.4\n",
+            "quantity = sim_fidelity, f_ad\naxis = k, 0, 1, 3\nchannel = adc\nstrength = 0.4\np = 0.4\n",
+            "quantity = f0_ww\naxis = k, 0, 1, 3\ns = 0.2\nr = r_opt\np = 0.4\n",
+        ):
+            sweeps._validate_spec(sweep_spec_from_text(text))
+
+    def test_workers_flag_warns_and_changes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_text("quantity = avg_f_pd\naxis = q, 0, 1, 5\n")
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(plain)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["sweep", "--spec", str(spec), "--out", str(flagged), "--workers", "4"]) == 0
+        assert capsys.readouterr().err == "warning: --workers is ignored and will be removed\n"
+        assert flagged.read_bytes() == plain.read_bytes()
+
     @staticmethod
     def _sweep_values(tmp_path, text):
         spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
@@ -453,21 +502,9 @@ class TestValidationMachinery:
         # untouched formulas keep passing
         assert "f_ad vs simulator (outcome-0 branches)" not in failing
 
-    def test_tolerance_override_respected_and_ignored(self, monkeypatch):
-        monkeypatch.setenv("QSS_SIM_TOLERANCE_OVERRIDE", "0.5")
-        assert equality_atol() == 0.5
-        # exploratory override loosens state validation
-        from qss_sim.protocol import Secret
-
-        Secret(alpha=1.0, beta=0.3)  # norm 1.09, passes under the override
-        monkeypatch.delenv("QSS_SIM_TOLERANCE_OVERRIDE")
-        with pytest.raises(ValueError):
-            Secret(alpha=1.0, beta=0.3)
-
-    def test_validate_tolerances_fixed_regardless_of_override(self, monkeypatch):
+    def test_validate_tolerances_fixed_regardless_of_override(self):
         from qss_sim import validate as v
 
-        monkeypatch.setenv("QSS_SIM_TOLERANCE_OVERRIDE", "100.0")
         result = v._suite_branch_formula(
             "f_pd vs simulator (all branches)",
             "pdc",
@@ -532,11 +569,6 @@ class TestValidationMachinery:
             else:  # the closed-form report and the phase-damping check read no override
                 assert result == plain[result.name]
         assert len(perturbed) == len(expected) + 2
-
-    def test_bad_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("QSS_SIM_TOLERANCE_OVERRIDE", "banana")
-        with pytest.raises(ValueError):
-            equality_atol()
 
 
 class TestValidateCommand:

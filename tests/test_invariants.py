@@ -32,6 +32,7 @@ from qss_sim.protocol import (
     success_probability,
     withheld_outcome_state,
 )
+from qss_sim.sweeps import QUANTITIES
 
 unit = st.floats(0.0, 1.0)
 noise = st.none() | st.builds(NoiseSpec, st.sampled_from(("pdc", "adc")), unit)
@@ -124,20 +125,30 @@ CHEAP_QUANTITIES = (
 
 @st.composite
 def sweep_specs(draw):
-    """Spec text over one or two axes, binding every other parameter."""
+    """Spec text over one or two axes, binding every other parameter that
+    the drawn quantities read (a binding that none reads exits 3)."""
     params = ("k", "q", "p", "s", "r")
-    names = draw(st.permutations(params))[: draw(st.integers(1, 2))]
-    lines = ["quantity = " + ", ".join(draw(st.lists(
+    quantities = draw(st.lists(
         st.sampled_from(CHEAP_QUANTITIES), min_size=1, max_size=4, unique=True
-    )))]
+    ))
+    names = draw(st.permutations(params))[: draw(st.integers(1, 2))]
+    lines = ["quantity = " + ", ".join(quantities)]
     for key, name in zip(("axis", "axis2"), names):
         lo, hi = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
         lines.append(f"{key} = {name}, {lo!r}, {hi!r}, {draw(st.integers(2, 4))}")
-    for name in (n for n in params if n not in names):
-        value = "r_opt" if name == "r" and draw(st.booleans()) else repr(draw(unit))
-        lines.append(f"{name} = {value}")
-    lines.append(f"channel = {draw(st.sampled_from(('pdc', 'adc', 'none')))}")
-    lines.append(f"strength = {draw(unit)!r}")
+    read = {p for q in quantities for p in QUANTITIES[q][0]}
+    if "sim_fidelity" in quantities:
+        read |= {"s", "r"}
+    r_opt = "r" in read and "r" not in names and draw(st.booleans())
+    if r_opt:
+        read |= {"k", "s", "p"}
+    for name in (n for n in params if n in read and n not in names):
+        lines.append(f"{name} = {'r_opt' if name == 'r' and r_opt else repr(draw(unit))}")
+    if "sim_fidelity" in quantities:
+        channel = draw(st.sampled_from(("pdc", "adc", "none")))
+        lines.append(f"channel = {channel}")
+        if channel != "none":
+            lines.append(f"strength = {draw(unit)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,35 +17,15 @@ from qss_sim.linalg import (
     max_eigenvalue,
     partial_trace,
     su2,
-    tensor,
-    tensor_all,
 )
 from qss_sim.protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, run_iteration
 
 
 class TestTensor:
-    def test_identity(self):
-        assert_allclose(tensor(ID2, ID2), np.eye(4))
-
-    def test_double_bit_flip(self):
-        state = np.zeros(4)
-        state[0] = 1.0  # |00>
-        flipped = tensor(PAULI_X, PAULI_X) @ state
-        expected = np.zeros(4)
-        expected[3] = 1.0  # |11>
-        assert_allclose(flipped, expected)
-
     def test_adc_kraus_pair_matches_index_embedding(self):
         k0 = adc(0.5).operators[0]
-        assert_allclose(tensor(k0, ID2), embed_oracle(k0, [0], 2), atol=1e-15)
-        assert_allclose(tensor(ID2, k0), embed_oracle(k0, [1], 2), atol=1e-15)
-
-    def test_associative_and_bilinear(self, rng):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12)
-        assert_allclose(
-            tensor(2.0 * a + b, c), 2.0 * tensor(a, c) + tensor(b, c), atol=1e-12
-        )
+        assert_allclose(np.kron(k0, ID2), embed_oracle(k0, [0], 2), atol=1e-15)
+        assert_allclose(np.kron(ID2, k0), embed_oracle(k0, [1], 2), atol=1e-15)
 
 
 class TestEmbed:
@@ -60,8 +40,8 @@ class TestEmbed:
 
     def test_two_qubit_embedding_matches_tensor(self):
         k0 = pdc(0.35).operators[0]
-        pair = tensor(k0, k0)
-        assert_allclose(embed(pair, [0, 2], 3), tensor_all([k0, ID2, k0]), atol=1e-15)
+        pair = np.kron(k0, k0)
+        assert_allclose(embed(pair, [0, 2], 3), np.kron(np.kron(k0, ID2), k0), atol=1e-15)
 
     def test_arbitrary_targets_match_index_oracle(self, rng):
         for targets, m in [([2, 0], 3), ([1, 3], 4), ([3, 1], 4), ([2, 0, 3], 4)]:
