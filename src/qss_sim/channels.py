@@ -21,7 +21,7 @@ traces of unnormalized states.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -59,27 +59,21 @@ def _check_strength(value: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered Kraus operators of a completely positive trace-preserving map.
-
-    ``check=False`` skips the completeness check at construction; it exists
-    for negative controls (deliberately corrupted channels fed to
-    ``validate_cptp``), not for regular use.
-    """
+    """Ordered Kraus operators of a completely positive trace-preserving map,
+    checked for completeness at construction."""
 
     operators: Tuple[np.ndarray, ...]
     label: str
     strength: float
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        if check:
-            residual = validate_cptp(self)
-            if residual > LINALG_ATOL:
-                raise ValueError(f"Kraus operators are not complete: residual {residual}")
+        residual = validate_cptp(ops)
+        if residual > LINALG_ATOL:
+            raise ValueError(f"Kraus operators are not complete: residual {residual}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +204,10 @@ def apply_selective(
     return DensityMatrix(out), prob
 
 
-def validate_cptp(ch: KrausChannel) -> float:
+def validate_cptp(operators: Sequence[np.ndarray]) -> float:
     """Max-norm residual of the completeness sum ``sum_i K_i^dag K_i - I``."""
-    dim = ch.operators[0].shape[0]
+    dim = operators[0].shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
-    for k in ch.operators:
+    for k in operators:
         acc += dagger(k) @ k
     return float(np.max(np.abs(acc - np.eye(dim))))

@@ -5,9 +5,7 @@ Three subcommands:
 * ``run --config <path>``: execute a configured protocol (all iterations,
   recycling included) and print a JSON report to stdout;
 * ``sweep --spec <path> --out <path>``: evaluate quantities on a parameter
-  grid and write deterministic CSV (a deprecated ``--workers N`` is
-  accepted with a warning on stderr and ignored: points are evaluated
-  serially);
+  grid, point after point, and write deterministic CSV;
 * ``validate [--grid coarse|fine]``: cross-validate every closed form
   against the brute-force simulator and print a residual table.
 
@@ -102,7 +100,7 @@ def _run_report(cfg: ProtocolConfig) -> dict[str, Any]:
     legs = [cfg.channel_for(i) for i in range(len(cfg.transmitted_qubits))]
     specs = [s for s in legs + [cfg.return_channel] if s is not None]
     if specs:
-        residuals["channel_completeness"] = max(validate_cptp(s.channel()) for s in specs)
+        residuals["channel_completeness"] = max(validate_cptp(s.channel().operators) for s in specs)
     state_residual = 0.0
     for reports in iterations:
         for r in reports:
@@ -166,8 +164,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        print("warning: --workers is ignored and will be removed", file=sys.stderr)
     spec, code = _load(args.spec, "spec", sweep_spec_from_text)
     if spec is None:
         return code
@@ -213,7 +209,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="evaluate quantities on a grid, write CSV")
     p_sweep.add_argument("--spec", required=True, help="path to key=value sweep spec")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, help="deprecated and ignored; evaluation is serial")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="cross-validate closed forms vs simulator")

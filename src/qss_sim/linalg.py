@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything here is plain dense ``numpy`` over registers of at most 8 qubits:
-``embed`` (the simulator lifts only CNOTs with it; ``channels`` applies
-one-qubit operators on a tensor axis), partial trace, Hermitian eigenvalues
-and a three-angle ``su2`` parameterization. Kronecker products are
-``np.kron`` itself.
+``embed`` (the simulator lifts only the secret's CNOT with it; ``channels``
+applies one-qubit operators on a tensor axis), partial trace, Hermitian
+eigenvalues and a three-angle ``su2`` parameterization. Kronecker products
+are ``np.kron`` itself.
 
 Conventions
 -----------

@@ -3,8 +3,9 @@
 One iteration shares a single-qubit secret ``alpha|0> + beta|1>`` among
 ``n`` receivers:
 
-1. the dealer builds an n-qubit GHZ resource by a chained XOR from
-   ``|+>|0...0>``,
+1. the dealer builds an n-qubit GHZ resource ``(|0...0> + |1...1>)/sqrt(2)``
+   by a chained XOR from ``|+>|0...0>`` (the simulator writes the state
+   directly),
 2. XORs the secret qubit onto it, producing an (n+1)-qubit entangled state,
 3. keeps one qubit and transmits the rest (optionally through damping
    noise, optionally sandwiched between forward weak measurements and
@@ -334,20 +335,23 @@ def _cnot(control: int, target: int, m: int) -> np.ndarray:
     return embed(gate, [control, target], m)
 
 
+def _ghz(n: int) -> np.ndarray:
+    """Amplitudes of ``(|0...0> + |1...1>)/sqrt(2)`` on n qubits."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return amps
+
+
 def make_resource(n: int) -> PureState:
     """n-qubit GHZ resource ``(|0...0> + |1...1>)/sqrt(2)``.
 
-    Built constructively: start from ``|+>|0...0>`` and run the XOR chain
-    ``CNOT(0,1), CNOT(1,2), ...`` down the register.
+    The dealer's XOR chain ``CNOT(0,1), CNOT(1,2), ...`` run down
+    ``|+>|0...0>`` yields exactly this state; the simulator writes its two
+    nonzero amplitudes directly.
     """
     if n < 2:
         raise ValueError(f"resource needs at least 2 qubits, got {n}")
-    amps = KET_PLUS.copy()
-    for _ in range(n - 1):
-        amps = np.kron(amps, KET_0)
-    for q in range(n - 1):
-        amps = _cnot(q, q + 1, n) @ amps
-    return PureState(amps)
+    return PureState(_ghz(n))
 
 
 def encode_secret(secret: Secret, resource: PureState) -> PureState:
@@ -358,9 +362,7 @@ def encode_secret(secret: Secret, resource: PureState) -> PureState:
     (n+1)-qubit state.
     """
     n = resource.num_qubits
-    ghz = np.zeros(2**n, dtype=complex)
-    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
-    if not np.allclose(resource.amplitudes, ghz, atol=ATOL):
+    if not np.allclose(resource.amplitudes, _ghz(n), atol=ATOL):
         raise ValueError("resource is not the GHZ state produced by make_resource")
     amps = np.kron(secret.vector(), resource.amplitudes)
     amps = _cnot(0, 1, n + 1) @ amps

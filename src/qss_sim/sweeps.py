@@ -8,10 +8,10 @@ line. Output is bit-identical across repeated runs of the same spec:
 points are evaluated one after another and written in grid order.
 
 A spec is checked once, before its grid is built: unknown names, axis
-ranges, the grid size, missing parameters, a fixed binding that no
-requested quantity reads and, for ``sim_fidelity``, the channel kind, its
-strength and the s/r pairing all raise ``ConfigValidationError`` before
-any point is computed. Evaluating a point can then fail only with a
+ranges, the grid size, missing parameters, an axis or a fixed binding that
+no requested quantity reads and, for ``sim_fidelity``, the channel kind,
+its strength and the s/r pairing all raise ``ConfigValidationError``
+before any point is computed. Evaluating a point can then fail only with a
 ``DomainError`` (written as ``nan``) or a fault.
 
 Ready-made specs reproducing the bundled figure datasets live in
@@ -68,6 +68,20 @@ QUANTITIES: dict[str, tuple[tuple[str, ...], Callable[[dict], float]]] = {
 QUANTITIES["sim_fidelity"] = (("k",), _sim_fidelity)
 
 
+def _params_read(quantities: Sequence[str], fixed: dict[str, float | str]) -> set[str]:
+    """The parameters the quantities read under the fixed bindings: a formula
+    its own; ``sim_fidelity`` also the channel, s, r and, with a pdc or adc
+    channel, its strength; r = r_opt also the (k, s, p) it resolves from."""
+    read = {p for q in quantities for p in QUANTITIES[q][0]}
+    if "sim_fidelity" in quantities:
+        read |= {"channel", "s", "r"}
+        if fixed.get("channel", "none") != "none":
+            read.add("strength")
+    if "r" in read and fixed.get("r") == "r_opt":
+        read |= {"k", "s", "p"}
+    return read
+
+
 # Largest grid a spec may ask for; the committed figure specs use at most 714 points.
 MAX_GRID_POINTS = 10**6
 
@@ -108,11 +122,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         value = spec.fixed[name]
         if isinstance(value, float) and not 0.0 <= value <= 1.0:
             raise ConfigValidationError(f"fixed {name} = {value} outside [0, 1]")
-    # The parameters the requested quantities read: a formula its own,
-    # ``sim_fidelity`` also its channel, the channel's strength and s/r, and
-    # a floating reversal strength (r = r_opt) the (k, s, p) it resolves from.
     available = seen | set(spec.fixed)
-    read = {p for q in spec.quantities for p in QUANTITIES[q][0]}
     if "sim_fidelity" in spec.quantities:
         kind = spec.fixed.get("channel", "none")
         if kind not in ("pdc", "adc", "none"):
@@ -121,15 +131,13 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigValidationError("sim_fidelity with a channel needs strength")
         if ("s" in available) != ("r" in available):
             raise ConfigValidationError("sim_fidelity needs s and r together or neither")
-        read |= {"channel", "s", "r"} | ({"strength"} if kind != "none" else set())
+    read = _params_read(spec.quantities, spec.fixed)
+    for what, names in (("fixed parameter(s)", set(spec.fixed)), ("axis parameter(s)", seen)):
+        if names - read:
+            raise ConfigValidationError(
+                f"{what} {sorted(names - read)} not read by {', '.join(spec.quantities)}"
+            )
     floating_r = "r" in read and spec.fixed.get("r") == "r_opt"
-    if floating_r:
-        read |= {"k", "s", "p"}
-    stray = set(spec.fixed) - read
-    if stray:
-        raise ConfigValidationError(
-            f"fixed parameter(s) {sorted(stray)} not read by {', '.join(spec.quantities)}"
-        )
     if floating_r and not {"k", "s", "p"} <= available:
         raise ConfigValidationError("r = r_opt needs k, s and p bound")
     for q in spec.quantities:

@@ -8,7 +8,9 @@ merges the reset combinations whose states agree to within ``allclose``.
 Every merged reset state must be ``|0><0|``, so the next round runs on the
 fresh encoded register, as the first does;
 ``test_recycled_register_is_the_fresh_encoding`` checks that rebuilding the
-register from the reset states gives it.
+register from the reset states gives it, and
+``test_make_resource_is_the_xor_chain`` that the GHZ resource written from
+its closed form is, byte for byte, the one the dealer's CNOT chain builds.
 The package shares projected prefixes between branches and computes each
 reset once per outcome label; both do the same floating-point operations
 as the reference, so every probability, fidelity, reconstructed matrix and
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 from qss_sim import protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
 from qss_sim.linalg import (
-    KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, _qubit_fidelity, dagger, embed, su2
+    KET_0, KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, _qubit_fidelity, dagger, embed, su2
 )
 from qss_sim.protocol import (
     ALICE_QUBIT,
@@ -233,6 +235,23 @@ def test_reset_that_misses_zero_is_loud(monkeypatch):
 RETURN_CHANNELS = [None] + [
     NoiseSpec(kind, strength) for kind in ("pdc", "adc") for strength in (0.0, 0.3, 0.99, 1.0)
 ]
+
+
+def chained_resource(n):
+    """The GHZ resource built the long way: ``|+>|0...0>`` run through the
+    XOR chain ``CNOT(0,1), CNOT(1,2), ...``, each CNOT a dense matrix."""
+    amps = KET_PLUS
+    for _ in range(n - 1):
+        amps = np.kron(amps, KET_0)
+    for q in range(n - 1):
+        amps = protocol._cnot(q, q + 1, n) @ amps
+    return amps
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_make_resource_is_the_xor_chain(n):
+    # bytes, so that a signed zero or a last-bit difference counts
+    assert protocol.make_resource(n).amplitudes.tobytes() == chained_resource(n).tobytes()
 
 
 def rebuilt_register(secret, reset_states):

@@ -29,7 +29,7 @@ class TestPhaseDamping:
         assert_allclose(apply_channel(plus, pdc(1.0), 0).matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_completeness(self):
-        assert validate_cptp(pdc(0.3)) < 1e-12
+        assert validate_cptp(pdc(0.3).operators) < 1e-12
 
     def test_diagonal_states_are_fixed_points(self, rng):
         for q in (0.2, 0.7, 1.0):
@@ -182,18 +182,12 @@ class TestApplySelective:
 
 class TestValidateCptp:
     def test_valid_channels(self):
-        assert validate_cptp(pdc(0.5)) < 1e-12
-        assert validate_cptp(adc(0.9)) < 1e-12
+        assert validate_cptp(pdc(0.5).operators) < 1e-12
+        assert validate_cptp(adc(0.9).operators) < 1e-12
 
     def test_corrupted_channel_detected(self):
         base = adc(0.3)
-        bad = KrausChannel(
-            (base.operators[0] * 1.01, base.operators[1]),
-            label="adc",
-            strength=0.3,
-            check=False,
-        )
-        residual = validate_cptp(bad)
+        residual = validate_cptp((base.operators[0] * 1.01, base.operators[1]))
         assert residual > 1e-3
         assert residual == pytest.approx(1.01**2 - 1, abs=1e-2)
 

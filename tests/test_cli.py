@@ -271,15 +271,15 @@ class TestSweepCommand:
             assert all(a >= b for a, b in zip(series, series[1:]))
             assert series[-1] < 0.05
 
-    def test_bit_identical_reruns_and_worker_independence(self, tmp_path):
+    def test_bit_identical_reruns(self, tmp_path):
         spec = tmp_path / "s.spec"
         spec.write_text(
             "quantity = avg_f_opt0, avg_f_ad\naxis = p, 0.1, 0.9, 4\naxis2 = s, 0, 0.6, 3\n"
         )
         outs = []
-        for i, workers in enumerate((1, 1, 4)):
+        for i in range(3):
             out = tmp_path / f"out{i}.csv"
-            main(["sweep", "--spec", str(spec), "--out", str(out), "--workers", str(workers)])
+            assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
@@ -383,9 +383,17 @@ class TestSweepCommand:
                 "quantity = sim_fidelity\naxis = k, 0, 1, 3\nchannel = none\nstrength = 0.3\n",
                 "fixed parameter(s) ['strength'] not read by sim_fidelity",
             ),
+            (
+                "quantity = f_pd\naxis = p, 0, 1, 3\nk = 0.5\nq = 0.2\n",
+                "axis parameter(s) ['p'] not read by f_pd",
+            ),
+            (
+                "quantity = sim_fidelity\naxis = strength, 0, 1, 3\nk = 0.5\n",
+                "axis parameter(s) ['strength'] not read by sim_fidelity",
+            ),
         ],
     )
-    def test_unread_fixed_binding_is_refused(self, tmp_path, monkeypatch, capsys, text, message):
+    def test_unread_binding_or_axis_is_refused(self, tmp_path, monkeypatch, capsys, text, message):
         from qss_sim import sweeps
 
         def build(*args, **kwargs):
@@ -408,15 +416,14 @@ class TestSweepCommand:
         ):
             sweeps._validate_spec(sweep_spec_from_text(text))
 
-    def test_workers_flag_warns_and_changes_nothing(self, tmp_path, capsys):
-        spec = tmp_path / "s.spec"
+    def test_workers_flag_is_a_parse_error(self, tmp_path, capsys):
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
         spec.write_text("quantity = avg_f_pd\naxis = q, 0, 1, 5\n")
-        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
-        assert main(["sweep", "--spec", str(spec), "--out", str(plain)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(["sweep", "--spec", str(spec), "--out", str(flagged), "--workers", "4"]) == 0
-        assert capsys.readouterr().err == "warning: --workers is ignored and will be removed\n"
-        assert flagged.read_bytes() == plain.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", str(spec), "--out", str(out), "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _sweep_values(tmp_path, text):

@@ -4,8 +4,8 @@ configurations.
 Each property holds for every configuration, not only the fixed ones the
 other suites pin: reconstructed states keep unit trace, branch
 probabilities sum to one without protection and to the product of the
-rounds' ``sp2`` with it, each receiver alone sees ``I/2``, and a sweep's
-CSV does not depend on ``--workers``.
+rounds' ``sp2`` with it, each receiver alone sees ``I/2``, and a sweep
+writes the same CSV bytes on every run.
 """
 
 import math
@@ -32,7 +32,7 @@ from qss_sim.protocol import (
     success_probability,
     withheld_outcome_state,
 )
-from qss_sim.sweeps import QUANTITIES
+from qss_sim.sweeps import _params_read
 
 unit = st.floats(0.0, 1.0)
 noise = st.none() | st.builds(NoiseSpec, st.sampled_from(("pdc", "adc")), unit)
@@ -125,42 +125,37 @@ CHEAP_QUANTITIES = (
 
 @st.composite
 def sweep_specs(draw):
-    """Spec text over one or two axes, binding every other parameter that
-    the drawn quantities read (a binding that none reads exits 3)."""
-    params = ("k", "q", "p", "s", "r")
+    """Spec text over one or two axes, each over a parameter the drawn
+    quantities read, binding every other parameter they read (an axis or a
+    binding that none reads exits 3)."""
     quantities = draw(st.lists(
         st.sampled_from(CHEAP_QUANTITIES), min_size=1, max_size=4, unique=True
     ))
-    names = draw(st.permutations(params))[: draw(st.integers(1, 2))]
+    fixed = {}
+    if "sim_fidelity" in quantities:
+        fixed["channel"] = draw(st.sampled_from(("pdc", "adc", "none")))
+    if "r" in _params_read(quantities, fixed) and draw(st.booleans()):
+        fixed["r"] = "r_opt"
+    read = sorted(_params_read(quantities, fixed) - set(fixed))
+    names = draw(st.permutations(read))[: draw(st.integers(1, 2))]
     lines = ["quantity = " + ", ".join(quantities)]
     for key, name in zip(("axis", "axis2"), names):
         lo, hi = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
         lines.append(f"{key} = {name}, {lo!r}, {hi!r}, {draw(st.integers(2, 4))}")
-    read = {p for q in quantities for p in QUANTITIES[q][0]}
-    if "sim_fidelity" in quantities:
-        read |= {"s", "r"}
-    r_opt = "r" in read and "r" not in names and draw(st.booleans())
-    if r_opt:
-        read |= {"k", "s", "p"}
-    for name in (n for n in params if n in read and n not in names):
-        lines.append(f"{name} = {'r_opt' if name == 'r' and r_opt else repr(draw(unit))}")
-    if "sim_fidelity" in quantities:
-        channel = draw(st.sampled_from(("pdc", "adc", "none")))
-        lines.append(f"channel = {channel}")
-        if channel != "none":
-            lines.append(f"strength = {draw(unit)!r}")
+    lines.extend(f"{name} = {value}" for name, value in fixed.items())
+    lines.extend(f"{name} = {draw(unit)!r}" for name in read if name not in names)
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(spec=sweep_specs())
-def test_sweep_csv_does_not_depend_on_workers(spec):
+def test_sweep_csv_is_the_same_on_rerun(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.spec"
         path.write_text(spec)
         outputs = []
-        for workers in (1, 2):
-            out = Path(tmp) / f"out{workers}.csv"
-            assert main(["sweep", "--spec", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        for run in range(2):
+            out = Path(tmp) / f"out{run}.csv"
+            assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
