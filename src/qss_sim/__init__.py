@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .channels import (
     KrausChannel,
-    WeakMeasurementOp,
     adc,
     apply_channel,
     apply_selective,

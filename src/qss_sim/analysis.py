@@ -31,7 +31,6 @@ each batch of nodes in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,8 +42,6 @@ from .tolerances import ATOL, POLE_ATOL
 
 __all__ = [
     "DomainError",
-    "FidelityFormula",
-    "FORMULAS",
     "f_pd",
     "avg_f_pd",
     "f_ad",
@@ -372,33 +369,3 @@ def fidelity(secret: Secret, rho: DensityMatrix) -> float:
     if abs(rho.trace - 1.0) > ATOL:
         raise ValueError(f"state must be normalized, trace = {rho.trace}")
     return _qubit_fidelity(secret.vector(), rho.matrix)
-
-
-@dataclass(frozen=True)
-class FidelityFormula:
-    """A named scalar formula with its ordered parameter names."""
-
-    name: str
-    params: tuple[str, ...]
-    fn: Callable[..., float]
-
-
-FORMULAS: dict[str, FidelityFormula] = {
-    f.name: f
-    for f in (
-        FidelityFormula("f_pd", ("k", "q"), f_pd),
-        FidelityFormula("avg_f_pd", ("q",), avg_f_pd),
-        FidelityFormula("f_ad", ("k", "p"), f_ad),
-        FidelityFormula("f_ad_outcome1", ("k", "p"), f_ad_outcome1),
-        FidelityFormula("avg_f_ad", ("p",), avg_f_ad),
-        FidelityFormula("sp1", ("k", "s"), sp1),
-        FidelityFormula("sp2", ("k", "s", "r", "p"), sp2),
-        FidelityFormula("f0_ww", ("k", "s", "r", "p"), f0_ww),
-        FidelityFormula("r_opt", ("k", "s", "p"), r_opt),
-        FidelityFormula("avg_f_opt0", ("p", "s"), avg_f_opt0),
-        FidelityFormula("avg_f1", ("p", "r"), avg_f1),
-        FidelityFormula("f1_ww", ("k", "r", "p"), f1_ww),
-        FidelityFormula("prob_succ", ("p", "s"), avg_success_opt0),
-        FidelityFormula("optimal_line", ("p",), optimal_line),
-    )
-}

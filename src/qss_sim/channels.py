@@ -26,12 +26,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, dagger
+from .linalg import DensityMatrix, _readonly, dagger
 from .tolerances import LINALG_ATOL
 
 __all__ = [
     "KrausChannel",
-    "WeakMeasurementOp",
     "FORWARD_NULL",
     "FORWARD_CLICK",
     "REVERSE",
@@ -47,8 +46,6 @@ FORWARD_NULL = "forward_null"
 FORWARD_CLICK = "forward_click"
 REVERSE = "reverse"
 
-_WEAK_KINDS = (FORWARD_NULL, FORWARD_CLICK, REVERSE)
-
 
 def _check_strength(value: float, name: str) -> float:
     value = float(value)
@@ -63,38 +60,13 @@ class KrausChannel:
     checked for completeness at construction."""
 
     operators: Tuple[np.ndarray, ...]
-    label: str
-    strength: float
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        for k in ops:
-            k.setflags(write=False)
+        ops = tuple(_readonly(k) for k in self.operators)
         object.__setattr__(self, "operators", ops)
         residual = validate_cptp(ops)
         if residual > LINALG_ATOL:
             raise ValueError(f"Kraus operators are not complete: residual {residual}")
-
-
-@dataclass(frozen=True)
-class WeakMeasurementOp:
-    """Single measurement operator of the protection scheme.
-
-    ``forward_null`` and ``reverse`` are invertible for strength < 1 and can
-    therefore be undone; ``forward_click`` has no inverse (the qubit is
-    gone for good once the detector fires).
-    """
-
-    kind: str
-    strength: float
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kind not in _WEAK_KINDS:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 def pdc(q: float) -> KrausChannel:
@@ -107,7 +79,7 @@ def pdc(q: float) -> KrausChannel:
     k0 = np.sqrt(1.0 - q) * np.eye(2)
     k1 = np.array([[np.sqrt(q), 0.0], [0.0, 0.0]])
     k2 = np.array([[0.0, 0.0], [0.0, np.sqrt(q)]])
-    return KrausChannel((k0, k1, k2), label="pdc", strength=q)
+    return KrausChannel((k0, k1, k2))
 
 
 def adc(p: float) -> KrausChannel:
@@ -120,16 +92,7 @@ def adc(p: float) -> KrausChannel:
     p = _check_strength(p, "amplitude damping strength")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]])
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]])
-    return KrausChannel((k0, k1), label="adc", strength=p)
-
-
-def make_channel(kind: str, strength: float) -> KrausChannel:
-    """Channel constructor keyed by kind name (``"pdc"`` or ``"adc"``)."""
-    if kind == "pdc":
-        return pdc(strength)
-    if kind == "adc":
-        return adc(strength)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return KrausChannel((k0, k1))
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubit: int) -> DensityMatrix:
@@ -166,29 +129,31 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
     return out
 
 
-def weak_op(kind: str, strength: float) -> WeakMeasurementOp:
-    """Build a weak (forward) or reverse measurement operator.
+def weak_op(kind: str, strength: float) -> np.ndarray:
+    """Read-only complex 2x2 matrix of a weak (forward) or reverse
+    measurement operator.
 
     ``forward_null``: diag(1, sqrt(1-s)) -- detector stayed silent.
     ``forward_click``: diag(0, sqrt(s)) -- detector fired, qubit collapsed.
     ``reverse``: diag(sqrt(1-r), 1) -- post-noise reversal.
 
     The forward pair is complete: ``M0^dag M0 + M1^dag M1 = I``.
+    ``forward_null`` and ``reverse`` are invertible for strength < 1 and can
+    therefore be undone; ``forward_click`` has no inverse (the qubit is
+    gone for good once the detector fires).
     """
     strength = _check_strength(strength, "measurement strength")
     if kind == FORWARD_NULL:
-        matrix = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - strength)]])
-    elif kind == FORWARD_CLICK:
-        matrix = np.array([[0.0, 0.0], [0.0, np.sqrt(strength)]])
-    elif kind == REVERSE:
-        matrix = np.array([[np.sqrt(1.0 - strength), 0.0], [0.0, 1.0]])
-    else:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    return WeakMeasurementOp(kind=kind, strength=strength, matrix=matrix)
+        return _readonly([[1.0, 0.0], [0.0, np.sqrt(1.0 - strength)]])
+    if kind == FORWARD_CLICK:
+        return _readonly([[0.0, 0.0], [0.0, np.sqrt(strength)]])
+    if kind == REVERSE:
+        return _readonly([[np.sqrt(1.0 - strength), 0.0], [0.0, 1.0]])
+    raise ValueError(f"unknown measurement kind {kind!r}")
 
 
 def apply_selective(
-    rho: DensityMatrix, op: WeakMeasurementOp, qubit: int
+    rho: DensityMatrix, op: np.ndarray, qubit: int
 ) -> tuple[DensityMatrix | None, float]:
     """Apply a measurement operator to one qubit, keeping that branch only.
 
@@ -197,7 +162,7 @@ def apply_selective(
     when (and whether) to renormalize. If the branch has zero probability
     the state is ``None``.
     """
-    out = _apply_channel_matrix(rho.matrix, (op.matrix,), qubit, rho.num_qubits)
+    out = _apply_channel_matrix(rho.matrix, (op,), qubit, rho.num_qubits)
     prob = float(out.trace().real)
     if prob <= 0.0:
         return None, 0.0

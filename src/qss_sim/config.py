@@ -162,6 +162,8 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
     if not quantities:
         raise ConfigValidationError("quantity list is empty")
 
+    if "axis2" in pairs and "axis" not in pairs:
+        raise ConfigValidationError("axis2 given without axis")
     axes = []
     for key in ("axis", "axis2"):
         if key not in pairs:
@@ -177,8 +179,6 @@ def sweep_spec_from_text(text: str) -> SweepSpec:
         axes.append((name, lo, hi, steps))
     if not axes:
         raise ConfigValidationError("missing axis")
-    if "axis2" in pairs:
-        raise ConfigValidationError("axis2 given without axis")
 
     fixed: dict[str, float | str] = {}
     for key, value in pairs.items():

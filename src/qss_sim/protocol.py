@@ -45,8 +45,9 @@ from .channels import (
     REVERSE,
     KrausChannel,
     _apply_channel_matrix,
+    adc,
     apply_channel,
-    make_channel,
+    pdc,
     weak_op,
 )
 from .linalg import (
@@ -151,7 +152,7 @@ class NoiseSpec:
             raise ValueError(f"channel strength must lie in [0, 1], got {self.strength}")
 
     def channel(self) -> KrausChannel:
-        return make_channel(self.kind, self.strength)
+        return (pdc if self.kind == "pdc" else adc)(self.strength)
 
 
 @dataclass(frozen=True)
@@ -462,7 +463,7 @@ def _execute_iteration(
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
         for q in transmitted:
-            rho = _apply_channel_matrix(rho, (fwd.matrix,), q, m)
+            rho = _apply_channel_matrix(rho, (fwd,), q, m)
 
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
@@ -472,7 +473,7 @@ def _execute_iteration(
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
         for q in transmitted:
-            rho = _apply_channel_matrix(rho, (rev.matrix,), q, m)
+            rho = _apply_channel_matrix(rho, (rev,), q, m)
 
     secret_vec = secret.vector()
     reports: list[IterationReport] = []

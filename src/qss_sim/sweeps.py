@@ -7,7 +7,7 @@ literal ``nan`` and are counted in the trailing ``# warnings: N`` comment
 line. Output is bit-identical across repeated runs of the same spec:
 points are evaluated one after another and written in grid order.
 
-A spec is checked once, before its grid is built: unknown names, axis
+A spec is checked once, before its grid is built: unknown or repeated names, axis
 ranges, the grid size, missing parameters, an axis or a fixed binding that
 no requested quantity reads and, for ``sim_fidelity``, the channel kind,
 its strength and the s/r pairing all raise ``ConfigValidationError``
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analysis
-from .analysis import FORMULAS, DomainError
+from .analysis import DomainError
 from .config import SWEEP_PARAMS, ConfigValidationError, SweepSpec
 from .protocol import (
     NoiseSpec, ProtocolConfig, Secret, Wmrqm, aggregate_fidelity, run_iteration, success_probability
@@ -58,14 +58,32 @@ def _sim_fidelity(bindings: dict[str, float | str]) -> float:
     return aggregate_fidelity(reports)
 
 
+def _closed_form(name: str, params: tuple[str, ...]) -> tuple[tuple[str, ...], Callable[[dict], float]]:
+    """``analysis.<name>`` called on the bound ``params``, in order; the
+    function is looked up at call time, so a wrapper installed on
+    ``analysis`` is seen."""
+    return params, lambda b: getattr(analysis, name)(*(float(b[p]) for p in params))
+
+
 # Each quantity's required parameters and its evaluator, which receives the
-# whole binding dict. A formula's evaluator reads ``FidelityFormula.fn`` at
-# call time, so a wrapper installed on the formula is seen.
+# whole binding dict.
 QUANTITIES: dict[str, tuple[tuple[str, ...], Callable[[dict], float]]] = {
-    name: (f.params, lambda b, f=f: f.fn(*(float(b[p]) for p in f.params)))
-    for name, f in FORMULAS.items()
+    "f_pd": _closed_form("f_pd", ("k", "q")),
+    "avg_f_pd": _closed_form("avg_f_pd", ("q",)),
+    "f_ad": _closed_form("f_ad", ("k", "p")),
+    "f_ad_outcome1": _closed_form("f_ad_outcome1", ("k", "p")),
+    "avg_f_ad": _closed_form("avg_f_ad", ("p",)),
+    "sp1": _closed_form("sp1", ("k", "s")),
+    "sp2": _closed_form("sp2", ("k", "s", "r", "p")),
+    "f0_ww": _closed_form("f0_ww", ("k", "s", "r", "p")),
+    "r_opt": _closed_form("r_opt", ("k", "s", "p")),
+    "avg_f_opt0": _closed_form("avg_f_opt0", ("p", "s")),
+    "avg_f1": _closed_form("avg_f1", ("p", "r")),
+    "f1_ww": _closed_form("f1_ww", ("k", "r", "p")),
+    "prob_succ": _closed_form("avg_success_opt0", ("p", "s")),
+    "optimal_line": _closed_form("optimal_line", ("p",)),
+    "sim_fidelity": (("k",), _sim_fidelity),
 }
-QUANTITIES["sim_fidelity"] = (("k",), _sim_fidelity)
 
 
 def _params_read(quantities: Sequence[str], fixed: dict[str, float | str]) -> set[str]:
@@ -89,11 +107,13 @@ MAX_GRID_POINTS = 10**6
 def _validate_spec(spec: SweepSpec) -> None:
     """Raise ``ConfigValidationError`` unless every point of the spec can be
     evaluated; the one place a spec is checked, before any grid is built."""
-    for q in spec.quantities:
+    for i, q in enumerate(spec.quantities):
         if q not in QUANTITIES:
             raise ConfigValidationError(
                 f"unknown quantity {q!r}; known: {sorted(QUANTITIES)}"
             )
+        if q in spec.quantities[:i]:
+            raise ConfigValidationError(f"duplicate quantity {q!r}")
     seen = set()
     for name, lo, hi, steps in spec.axes:
         if name not in SWEEP_PARAMS:

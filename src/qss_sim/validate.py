@@ -5,7 +5,13 @@ reference (simulator branch fidelities, traces of unnormalized states,
 numeric quadrature or a numeric argmax) over a parameter grid and records
 the worst residual. These are the checks behind ``qss-sim validate``.
 
-Tolerances here are fixed per formula.
+Tolerances here are fixed per formula. The suites call each closed form
+they check through this module's own name for it (``validate.f_pd`` and so
+on), looked up when ``run_all`` runs, so a test overrides a closed form by
+patching that name, e.g. ``monkeypatch.setattr(validate, "f_pd", ...)``.
+The ``avg_f_opt0`` report, the phase-damping check and the numeric argmax
+behind ``r_opt`` read ``analysis`` directly, which such a patch does not
+reach.
 """
 
 from __future__ import annotations
@@ -18,17 +24,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import analysis
+from .analysis import avg_f1, avg_f_ad, avg_f_pd, f0_ww, f1_ww, f_ad, f_ad_outcome1, f_pd, r_opt, sp1, sp2
 from .optimize import ScalarObjective, maximize_scalar
 from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, left_sum, run_iteration
 from .quadrature import gauss_legendre
 
 __all__ = ["CheckResult", "run_all", "render_report"]
-
-# Closed forms that ``run_all(formulas=...)`` may replace, by analysis name.
-_OVERRIDABLE = (
-    "f_pd", "f_ad", "f_ad_outcome1", "f0_ww", "f1_ww", "sp1", "sp2",
-    "avg_f_pd", "avg_f_ad", "avg_f1", "r_opt",
-)
 
 # Branches of a 2-receiver run as (dealer outcome, helper outcome).
 _BRANCHES = ((0, "+"), (0, "-"), (1, "+"), (1, "-"))
@@ -244,41 +245,38 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
     )
 
 
-def run_all(grid: str = "coarse", formulas: dict[str, Callable] | None = None) -> list[CheckResult]:
-    """Run every validation suite; ``formulas`` may override closed forms
-    by name (used by the negative-control tests).
+def run_all(grid: str = "coarse") -> list[CheckResult]:
+    """Run every validation suite.
 
     The simulator memo lives for exactly this call. It is cleared when the
     call starts, so each call simulates every configuration once whatever
     ran before it in the same process, and again when it returns, so no
     simulator result outlives the run.
     """
-    f = {name: (formulas or {}).get(name, getattr(analysis, name)) for name in _OVERRIDABLE}
-    f1 = f["f1_ww"]
     fine = grid == "fine"
     n2, n4, n_avg = (11, 5, 101) if fine else (6, 3, 21)
     _branch_fidelities.cache_clear()
     try:
         return [
             _suite_branch_formula(
-                "f_pd vs simulator (all branches)", "pdc", f["f_pd"], _BRANCHES, n2, 1e-12
+                "f_pd vs simulator (all branches)", "pdc", f_pd, _BRANCHES, n2, 1e-12
             ),
             _suite_branch_formula(
                 "f_ad vs simulator (outcome-0 branches)",
-                "adc", f["f_ad"], _BRANCHES[:2], n2, 1e-12,
+                "adc", f_ad, _BRANCHES[:2], n2, 1e-12,
             ),
             _suite_branch_formula(
                 "f_ad_outcome1 vs simulator (outcome-1 branches)",
-                "adc", f["f_ad_outcome1"], _BRANCHES[2:], n2, 1e-12,
+                "adc", f_ad_outcome1, _BRANCHES[2:], n2, 1e-12,
             ),
-            _suite_wmrqm_fidelity("f0_ww vs simulator", f["f0_ww"], 0, n4, 1e-10),
-            _suite_wmrqm_fidelity("f1_ww vs simulator", lambda k, s, r, p: f1(k, r, p), 1, n4, 1e-10),
-            _suite_sp1(f["sp1"], 1e-12),
-            _suite_sp2(f["sp2"], n4, 1e-12),
-            _suite_average("avg_f_pd vs quadrature", f["avg_f_pd"], f["f_pd"], n_avg, 1e-9),
-            _suite_average("avg_f_ad vs quadrature", f["avg_f_ad"], f["f_ad"], n_avg, 1e-9),
-            _suite_avg_f1(f1, f["avg_f1"], n2, 1e-9),
-            _suite_r_opt(f["r_opt"], n4, 1e-6),
+            _suite_wmrqm_fidelity("f0_ww vs simulator", f0_ww, 0, n4, 1e-10),
+            _suite_wmrqm_fidelity("f1_ww vs simulator", lambda k, s, r, p: f1_ww(k, r, p), 1, n4, 1e-10),
+            _suite_sp1(sp1, 1e-12),
+            _suite_sp2(sp2, n4, 1e-12),
+            _suite_average("avg_f_pd vs quadrature", avg_f_pd, f_pd, n_avg, 1e-9),
+            _suite_average("avg_f_ad vs quadrature", avg_f_ad, f_ad, n_avg, 1e-9),
+            _suite_avg_f1(f1_ww, avg_f1, n2, 1e-9),
+            _suite_r_opt(r_opt, n4, 1e-6),
             _suite_avg_f_opt0_report(4 if fine else 3),
             _suite_pdc_wmrqm_spot_check(3),
         ]

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from qss_sim.analysis import (
-    FORMULAS,
     DomainError,
     avg_f1,
     avg_f_ad,
@@ -334,5 +333,7 @@ class TestFormulaRegistry:
                         assert 0.0 <= f1_ww(k, r, p) <= 1.0 + 1e-12
 
     def test_registry_covers_sweepable_quantities(self):
+        from qss_sim.sweeps import QUANTITIES
+
         for name in ("avg_f_pd", "avg_f_ad", "avg_f_opt0", "avg_f1", "sp2", "f0_ww", "f1_ww"):
-            assert name in FORMULAS
+            assert name in QUANTITIES

@@ -58,7 +58,7 @@ def reference_execute(cfg, secret, iteration_index, scale):
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
         for q in transmitted:
-            rho = _apply_channel_matrix(rho, (fwd.matrix,), q, m)
+            rho = _apply_channel_matrix(rho, (fwd,), q, m)
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
         if spec is not None:
@@ -66,7 +66,7 @@ def reference_execute(cfg, secret, iteration_index, scale):
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
         for q in transmitted:
-            rho = _apply_channel_matrix(rho, (rev.matrix,), q, m)
+            rho = _apply_channel_matrix(rho, (rev,), q, m)
 
     proj_alice = dict(_PROJECTORS["computational"])
     proj_collab = dict(_PROJECTORS["hadamard"])
@@ -330,8 +330,8 @@ DENSE_TOL = 1e-12
 _OPERATOR_SETS = {
     "pdc": pdc(0.37).operators,
     "adc": adc(0.61).operators,
-    "forward": (weak_op(FORWARD_NULL, 0.3).matrix,),
-    "reverse": (weak_op(REVERSE, 0.45).matrix,),
+    "forward": (weak_op(FORWARD_NULL, 0.3),),
+    "reverse": (weak_op(REVERSE, 0.45),),
     **{f"{basis}-{o}": (p,) for basis, projs in _PROJECTORS.items() for o, p in projs},
     "su2": (su2(0.7, -1.3, 2.1),),
 }

@@ -111,28 +111,41 @@ class TestApplyChannel:
 
 class TestWeakOps:
     def test_zero_strength_forward_null_is_identity(self):
-        assert_allclose(weak_op(FORWARD_NULL, 0.0).matrix, ID2)
+        assert_allclose(weak_op(FORWARD_NULL, 0.0), ID2)
 
     def test_full_reverse_is_singular_projector(self):
-        m = weak_op(REVERSE, 1.0).matrix
+        m = weak_op(REVERSE, 1.0)
         assert_allclose(m, np.diag([0.0, 1.0]))
         assert np.linalg.matrix_rank(m) == 1
 
     def test_forward_pair_complete(self):
         s = 0.7
-        m0 = weak_op(FORWARD_NULL, s).matrix
-        m1 = weak_op(FORWARD_CLICK, s).matrix
+        m0 = weak_op(FORWARD_NULL, s)
+        m1 = weak_op(FORWARD_CLICK, s)
         assert_allclose(m0.conj().T @ m0 + m1.conj().T @ m1, ID2, atol=1e-15)
 
     def test_invertible_below_full_strength(self):
         for s in (0.0, 0.5, 0.99):
-            assert abs(np.linalg.det(weak_op(FORWARD_NULL, s).matrix)) > 0
-            assert abs(np.linalg.det(weak_op(REVERSE, s).matrix)) > 0
-        assert abs(np.linalg.det(weak_op(FORWARD_CLICK, 0.5).matrix)) == 0
+            assert abs(np.linalg.det(weak_op(FORWARD_NULL, s))) > 0
+            assert abs(np.linalg.det(weak_op(REVERSE, s))) > 0
+        assert abs(np.linalg.det(weak_op(FORWARD_CLICK, 0.5))) == 0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             weak_op("sideways", 0.5)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_matrix_is_a_read_only_complex_array(self, s):
+        expected = {
+            FORWARD_NULL: [[1.0, 0.0], [0.0, np.sqrt(1.0 - s)]],
+            FORWARD_CLICK: [[0.0, 0.0], [0.0, np.sqrt(s)]],
+            REVERSE: [[np.sqrt(1.0 - s), 0.0], [0.0, 1.0]],
+        }
+        for kind, rows in expected.items():
+            m = weak_op(kind, s)
+            assert m.dtype == np.complex128 and m.shape == (2, 2)
+            assert not m.flags.writeable
+            assert m.tobytes() == np.asarray(np.array(rows), dtype=complex).tobytes()
 
 
 class TestApplySelective:
@@ -194,4 +207,4 @@ class TestValidateCptp:
     def test_constructor_rejects_incomplete_operators(self):
         base = adc(0.3)
         with pytest.raises(ValueError):
-            KrausChannel((base.operators[0] * 1.01, base.operators[1]), "adc", 0.3)
+            KrausChannel((base.operators[0] * 1.01, base.operators[1]))

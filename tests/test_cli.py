@@ -406,6 +406,32 @@ class TestSweepCommand:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("quantity = f_pd\naxis2 = k, 0, 1, 3\nq = 0.2\n", "invalid spec: axis2 given without axis"),
+            ("quantity = f_pd, f_pd\naxis = k, 0, 1, 3\nq = 0.2\n", "invalid spec: duplicate quantity 'f_pd'"),
+        ],
+    )
+    def test_lone_axis2_or_repeated_quantity_is_refused(self, tmp_path, capsys, text, message):
+        spec, out = tmp_path / "s.spec", tmp_path / "out.csv"
+        spec.write_text(text)
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_closed_forms_are_looked_up_when_a_point_is_evaluated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "avg_f_pd", lambda q: 2.0 + q)
+        spec = Path(__file__).parent.parent / "sweepspecs" / "fig1.spec"
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "q,avg_f_pd" and lines[-1] == "# warnings: 0"
+        assert len(lines) == 103
+        for line in lines[1:-1]:
+            q, value = (float(x) for x in line.split(","))
+            assert value == pytest.approx(2.0 + q, abs=1e-11)
+
     def test_bindings_read_through_r_opt_and_the_channel_are_accepted(self):
         from qss_sim import sweeps
 
@@ -497,13 +523,14 @@ class TestFigurePresets:
 
 
 class TestValidationMachinery:
-    def test_negative_control_names_the_culprit(self):
+    def test_negative_control_names_the_culprit(self, monkeypatch):
         from qss_sim import validate as v
 
         def perturbed_f_pd(k, q):
             return analysis.f_pd(k, q) + 0.01
 
-        results = v.run_all(grid="coarse", formulas={"f_pd": perturbed_f_pd})
+        monkeypatch.setattr(v, "f_pd", perturbed_f_pd)
+        results = v.run_all(grid="coarse")
         failing = {r.name for r in results if not r.passed and not r.informational}
         assert "f_pd vs simulator (all branches)" in failing
         # untouched formulas keep passing
@@ -540,7 +567,7 @@ class TestValidationMachinery:
             # 36 pdc + 36 adc + 81 adc with protection + 121 sp1 + 3 * 9 * 21 quadrature nodes
             assert len(configs) == len(set(configs)) == 841
 
-    def test_every_override_reaches_its_suite(self):
+    def test_every_override_reaches_its_suite(self, monkeypatch):
         from qss_sim import validate as v
 
         shifts = {
@@ -566,8 +593,10 @@ class TestValidationMachinery:
             "avg_f1 vs quadrature": shifts["avg_f1"] - shifts["f1_ww"],
             "r_opt vs numeric argmax": shifts["r_opt"],
         }
-        perturbed = v.run_all(grid="coarse", formulas={name: shifted(name) for name in shifts})
         plain = {r.name: r for r in v.run_all(grid="coarse")}
+        for name in shifts:
+            monkeypatch.setattr(v, name, shifted(name))
+        perturbed = v.run_all(grid="coarse")
         for result in perturbed:
             if result.name in expected:
                 tol = 1e-6 if result.name.startswith("r_opt") else 1e-12
@@ -587,8 +616,10 @@ class TestValidateCommand:
         assert all(row.endswith(("pass", "noted")) for row in rows)
 
     def test_failing_suite_names_its_worst_point(self, monkeypatch, capsys):
+        from qss_sim import validate as v
+
         f_ad = analysis.f_ad
-        monkeypatch.setattr(analysis, "f_ad", lambda k, q: f_ad(k, q) + 0.01)
+        monkeypatch.setattr(v, "f_ad", lambda k, q: f_ad(k, q) + 0.01)
         assert main(["validate"]) == 1
         captured = capsys.readouterr()
         lines = captured.out.splitlines()

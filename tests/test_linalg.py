@@ -53,7 +53,7 @@ class TestEmbed:
     def test_unitarity_preserved_iff_unitary(self, rng):
         u = su2(0.7, 1.1, 2.3)
         assert is_unitary(embed(u, [1], 3))
-        assert not is_unitary(embed(weak_op("forward_null", 0.5).matrix, [1], 3))
+        assert not is_unitary(embed(weak_op("forward_null", 0.5), [1], 3))
 
     def test_kraus_completeness_preserved(self):
         ch = adc(0.6)
