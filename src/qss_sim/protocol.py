@@ -32,8 +32,6 @@ sampled.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +58,6 @@ from .linalg import (
     PAULI_Z,
     DensityMatrix,
     PureState,
-    _partial_trace_matrix,
     _qubit_fidelity,
     dagger,
     embed,
@@ -420,16 +417,29 @@ def measure_projective(
 
 
 def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: tuple = ()) -> Iterator:
-    """Yield ``(labels, projected register)`` for every outcome branch of the
+    """Yield ``(labels, unmeasured block)`` for every outcome branch of the
     ``(qubit, basis)`` ``measurements``, depth-first in ``itertools.product``
-    order; each prefix's ``P X P`` is evaluated once."""
+    order; each prefix's ``P X P`` is evaluated once.
+
+    A measured qubit leaves the matrix right after its projection: the
+    recursion keeps one diagonal slice on its axis and runs on the
+    (m-1)-qubit rest, with the later qubit indices shifted down past it. A
+    computational outcome keeps its own slice (the other is zero); a
+    Hadamard outcome keeps slice 0, because its two diagonal slices are
+    equal bit for bit, so the leaf is ``2^-h`` times the partial trace over
+    the measured qubits, for h Hadamard outcomes, exactly.
+    """
     if not measurements:
         yield labels, mat
         return
     (qubit, basis), rest = measurements[0], measurements[1:]
+    rest = [(q - (q > qubit), b) for q, b in rest]
+    lo, hi = 2**qubit, 2 ** (m - qubit - 1)
     for label, proj in _BASIS_PROJECTORS[basis]:
-        projected = _apply_channel_matrix(mat, (proj,), qubit, m)
-        yield from _project_branches(projected, rest, m, labels + (label,))
+        bit = int(label == "1")
+        projected = _apply_channel_matrix(mat, (proj,), qubit, m).reshape(lo, 2, hi, lo, 2, hi)
+        kept = projected[:, bit, :, :, bit, :].reshape(lo * hi, lo * hi)
+        yield from _project_branches(kept, rest, m - 1, labels + (label,))
 
 
 def _encoded_density(secret: Secret, n: int) -> np.ndarray:
@@ -451,10 +461,13 @@ def _execute_iteration(
     plus the surviving branches for the next iteration.
 
     ``_project_branches`` walks the measurements depth-first, so branches
-    that agree on their first d outcomes share one projected register. Each
-    projection is the sandwich the flat per-branch loop would compute, so
-    results are bitwise the same, at 2 + 4 + ... + 2^(k+1) sandwiches for k
-    helpers instead of 2 + k * 2^(k+1).
+    that agree on their first d outcomes share one projected register, and
+    drops each measured qubit once it is projected: for k helpers the walk
+    does 2^(d+1) sandwiches on a (k+2-d)-qubit matrix at depth d = 0..k,
+    O(4^m) in all, where the flat per-branch loop does 2 + k * 2^(k+1) on
+    the full m = k+2 qubits. Each kept entry is the one that loop computes,
+    so the leaf times ``2^k`` is its partial trace onto the reconstructor,
+    bit for bit.
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
@@ -465,10 +478,13 @@ def _execute_iteration(
         for q in transmitted:
             rho = _apply_channel_matrix(rho, (fwd,), q, m)
 
+    operators: dict[NoiseSpec, tuple] = {}
     for i, q in enumerate(transmitted):
         spec = cfg.channel_for(i)
         if spec is not None:
-            rho = _apply_channel_matrix(rho, spec.channel().operators, q, m)
+            if spec not in operators:
+                operators[spec] = spec.channel().operators
+            rho = _apply_channel_matrix(rho, operators[spec], q, m)
 
     if cfg.wmrqm is not None:
         rev = weak_op(REVERSE, cfg.wmrqm.r)
@@ -478,9 +494,10 @@ def _execute_iteration(
     secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
+    helper_scale = 2.0 ** len(cfg.collaborator_qubits)
     for labels, branch in _project_branches(rho, _measurements(cfg), m):
         a, outcomes = int(labels[0]), labels[1:]
-        bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
+        bob = branch * helper_scale
         prob = float(bob.trace().real)
         if prob <= ZERO_BRANCH_ATOL:
             state, fid, weight = None, None, 0.0
@@ -620,11 +637,17 @@ def advance(
             raise RuntimeError(f"reset of a returned {label!r} qubit did not land on |0>")
 
     # One term per branch and reset combination, summed in that order: the
-    # order fixes the float result, so it stays an explicit loop.
+    # order fixes the float result, so it stays an explicit loop. Each
+    # combination's product is built by prefix, left to right, in
+    # ``itertools.product`` order.
+    probs = {label: [p for p, _ in states] for label, states in resets.items()}
     weight = 0.0
     for w, outcomes in prev.branches:
-        for combo in itertools.product(*(resets[o] for o in outcomes)):
-            weight += w * math.prod(p for p, _ in combo)
+        prods = [1.0]
+        for o in outcomes:
+            prods = [x * p for x in prods for p in probs[o]]
+        for x in prods:
+            weight += w * x
 
     reports, chain = _execute_iteration(
         cfg, secret, iteration_index=prev.next_iteration, scale=weight

@@ -11,10 +11,13 @@ fresh encoded register, as the first does;
 register from the reset states gives it, and
 ``test_make_resource_is_the_xor_chain`` that the GHZ resource written from
 its closed form is, byte for byte, the one the dealer's CNOT chain builds.
-The package shares projected prefixes between branches and computes each
-reset once per outcome label; both do the same floating-point operations
-as the reference, so every probability, fidelity, reconstructed matrix and
-carried weight must agree with ``==``, not merely within a tolerance. Both
+The package shares projected prefixes between branches, drops each
+measured qubit after its projection (one exact power-of-two scaling at the
+leaf stands for the reference's partial trace over equal slices) and
+computes each reset once per outcome label; otherwise it does the
+reference's floating-point operations, so every probability, fidelity,
+reconstructed matrix and carried weight must agree with ``==``, not merely
+within a tolerance. Both
 apply single-qubit operators through ``_apply_channel_matrix``.
 
 ``dense_sandwich`` is the slow form of that primitive: each operator lifted
@@ -218,6 +221,21 @@ def test_matches_flat_reference_six_parties():
             wmrqm=Wmrqm(0.3, 0.25),
             iterations=2,
             return_channel=NoiseSpec("adc", 0.5),
+        )
+    )
+
+
+def test_subnormal_branch_matches_flat_reference():
+    """The walk keeps one diagonal slice of each Hadamard-measured qubit and
+    scales the reconstructor's block by 2^k once, at the leaf. Summing the
+    two equal slices at every level instead would double intermediate
+    values, and a later projector entry of about 1/2 rounds a doubled
+    subnormal differently; this secret drives entries into that range."""
+    assert_matches_reference(
+        ProtocolConfig(
+            parties=4,
+            secrets=(Secret(6.5298541031648925e-152, 1.0),),
+            channel=NoiseSpec("adc", 0.99609375),
         )
     )
 

@@ -224,6 +224,14 @@ class TestRunCommand:
         assert code == 0
         assert out.encode() == (data / "run_5p3i.stdout").read_bytes()
 
+    def test_eight_qubit_report_bytes_match_benchmark_reference(self):
+        # The benchmark's run_8q inputs at seed 0: two rounds on the largest
+        # register (8 qubits). Its report is the benchmark's reference file.
+        repo = Path(__file__).parent.parent
+        code, out = self.run_cli("run", "--config", str(repo / "tests" / "data" / "run_8q_seed0.cfg"))
+        assert code == 0
+        assert out.encode() == (repo / "benchmarks" / "reference" / "run_8q_seed0.json").read_bytes()
+
     def test_register_beyond_eight_qubits_is_a_validation_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("parties = 40\nsecret_k = 0.5\n")
