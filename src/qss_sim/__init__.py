@@ -72,6 +72,7 @@ from .protocol import (
     make_resource,
     measure_projective,
     run_iteration,
+    run_iterations,
     run_protocol,
     start_chain,
     success_probability,

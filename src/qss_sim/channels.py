@@ -115,8 +115,12 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
     then the same on the columns with ``conj(E)``. For real ``E`` these
     round as a dense ``embed(E) @ mat @ embed(E)^dag`` does without fused
     multiply-add. Preallocated buffers keep page faults down at 8 qubits.
+
+    ``mat`` may also be a ``(..., 2^m, 2^m)`` stack of registers: every
+    register gets the same elementwise arithmetic, so each result has the
+    bytes it would have on its own.
     """
-    rows = mat.reshape(2**qubit, 2, -1)  # axis 1: the qubit's row bit
+    rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)  # axis 1: the qubit's row bit
     half, part, out = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
     cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))  # axis 1: its column bit
     for n, e in enumerate(operators):

@@ -23,9 +23,9 @@ know the secret; ``max_eigenvalue`` exposes that bound as a diagnostic.
 
 The score of a unitary ``U`` is ``Re sum_n w_n <t_n| U rho_n U^dag |t_n>``
 over the quadrature nodes ``n``. The branch state ``rho_n`` is the branch's
-linear map (``protocol.branch_maps``, fixed by four simulator runs)
-evaluated at the secret ``t_n`` and normalised by its trace, so building an
-objective costs four simulator runs whatever the number of nodes. The
+linear map (``protocol.branch_maps``, fixed by one simulator run on four
+stacked inputs) evaluated at the secret ``t_n`` and normalised by its trace,
+so building an objective costs that one run whatever the number of nodes. The
 score is a quadratic form in ``U``:
 ``Re sum K[a,b,c,d] U[a,b] conj(U[d,c])`` with the 2x2x2x2 kernel
 ``K = sum_n w_n conj(t_n[a]) rho_n[b,c] t_n[d]``, so the node axis is
@@ -176,7 +176,7 @@ def correction_objective(
 ) -> UnitaryObjective:
     """Build the search objective for one measurement branch.
 
-    Evaluates the branch's map from ``branch_maps`` (four simulator runs)
+    Evaluates the branch's map from ``branch_maps`` (one batched run)
     at each quadrature node of the secret family (Gauss-Legendre in the
     population ``k``, uniform grid in the relative phase -- the integrand
     is a trigonometric polynomial of degree two in the phase, so five or

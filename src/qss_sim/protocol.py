@@ -79,6 +79,7 @@ __all__ = [
     "measure_projective",
     "correction",
     "run_iteration",
+    "run_iterations",
     "branch_maps",
     "advance",
     "start_chain",
@@ -99,6 +100,13 @@ MAX_PARTIES = 7
 # while a count like 10^12 is refused before a secret list of that length
 # is asked for.
 MAX_ITERATIONS = 1000
+
+# Largest stack of registers ``run_iterations`` simulates in one pass, in
+# matrix entries (1 MiB of complex128). At 3 qubits stacking removes most of
+# the per-call overhead; at 7 or 8 qubits a stack of 21 outgrew the cache
+# and ran 20-30 % slower than one register at a time, and an unbounded
+# stack would hold every secret's register in memory at once.
+STACK_ENTRIES = 2**16
 
 # Branches below this (per-iteration) probability are reported but carry no
 # reconstructed state; they are never divided by.
@@ -359,12 +367,17 @@ def encode_secret(secret: Secret, resource: PureState) -> PureState:
     between it and the dealer's qubit (position 1) produces the shared
     (n+1)-qubit state.
     """
+    return _encode_secrets([secret], resource)[0]
+
+
+def _encode_secrets(secrets: Sequence[Secret], resource: PureState) -> list[PureState]:
+    """``encode_secret`` of each secret: the resource is checked, and the
+    XOR built, once for all of them."""
     n = resource.num_qubits
-    if not np.allclose(resource.amplitudes, _ghz(n), atol=ATOL):
+    if not np.allclose(resource.amplitudes, _ghz(n), rtol=0.0, atol=ATOL):
         raise ValueError("resource is not the GHZ state produced by make_resource")
-    amps = np.kron(secret.vector(), resource.amplitudes)
-    amps = _cnot(0, 1, n + 1) @ amps
-    return PureState(amps)
+    cnot = _cnot(0, 1, n + 1)
+    return [PureState(cnot @ np.kron(s.vector(), resource.amplitudes)) for s in secrets]
 
 
 _BASIS_PROJECTORS = {
@@ -417,9 +430,10 @@ def measure_projective(
 
 
 def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: tuple = ()) -> Iterator:
-    """Yield ``(labels, unmeasured block)`` for every outcome branch of the
+    """Yield ``(labels, unmeasured blocks)`` for every outcome branch of the
     ``(qubit, basis)`` ``measurements``, depth-first in ``itertools.product``
-    order; each prefix's ``P X P`` is evaluated once.
+    order; each prefix's ``P X P`` is evaluated once. ``mat`` is a
+    ``(batch, 2^m, 2^m)`` stack of registers, and so is each leaf.
 
     A measured qubit leaves the matrix right after its projection: the
     recursion keeps one diagonal slice on its axis and runs on the
@@ -437,28 +451,35 @@ def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: t
     lo, hi = 2**qubit, 2 ** (m - qubit - 1)
     for label, proj in _BASIS_PROJECTORS[basis]:
         bit = int(label == "1")
-        projected = _apply_channel_matrix(mat, (proj,), qubit, m).reshape(lo, 2, hi, lo, 2, hi)
-        kept = projected[:, bit, :, :, bit, :].reshape(lo * hi, lo * hi)
+        projected = _apply_channel_matrix(mat, (proj,), qubit, m).reshape(-1, lo, 2, hi, lo, 2, hi)
+        kept = projected[:, :, bit, :, :, bit, :].reshape(-1, lo * hi, lo * hi)
         yield from _project_branches(kept, rest, m - 1, labels + (label,))
 
 
-def _encoded_density(secret: Secret, n: int) -> np.ndarray:
-    """``|psi><psi|`` of the secret encoded on a fresh n-qubit resource."""
-    amps = encode_secret(secret, make_resource(n)).amplitudes
-    return np.outer(amps, amps.conj())
+def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
+    """Stack of ``|psi><psi|``, one per secret encoded on a fresh n-qubit
+    resource; each is the elementwise ``np.outer`` of its amplitudes."""
+    amps = np.array([s.amplitudes for s in _encode_secrets(secrets, make_resource(n))])
+    return amps[:, :, None] * amps.conj()[:, None, :]
 
 
 def _execute_iteration(
     cfg: ProtocolConfig,
-    secret: Secret,
+    secrets: Sequence[Secret],
     iteration_index: int,
     scale: float,
 ) -> tuple[list[IterationReport], list[tuple[float, tuple[str, ...]]]]:
-    """Run one iteration on the freshly encoded register.
+    """Run one iteration on the freshly encoded register of each secret.
 
     ``scale`` multiplies every branch probability (joint weight of the
     history that led to this iteration). Returns the per-branch reports
-    plus the surviving branches for the next iteration.
+    plus the surviving branches for the next iteration, both secret-major:
+    all of the first secret's branches, then the second's, and so on.
+
+    The registers of all secrets form one stack, so each operator and
+    projection is one call over the stack; every register gets the
+    arithmetic it would get alone, and the per-branch tail (trace,
+    normalisation, correction, fidelity) runs per secret as for one.
 
     ``_project_branches`` walks the measurements depth-first, so branches
     that agree on their first d outcomes share one projected register, and
@@ -471,7 +492,7 @@ def _execute_iteration(
     """
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
-    rho = _encoded_density(secret, cfg.parties)
+    rho = _encoded_density(secrets, cfg.parties)
 
     if cfg.wmrqm is not None:
         fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
@@ -491,34 +512,54 @@ def _execute_iteration(
         for q in transmitted:
             rho = _apply_channel_matrix(rho, (rev,), q, m)
 
-    secret_vec = secret.vector()
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
     helper_scale = 2.0 ** len(cfg.collaborator_qubits)
-    for labels, branch in _project_branches(rho, _measurements(cfg), m):
-        a, outcomes = int(labels[0]), labels[1:]
-        bob = branch * helper_scale
-        prob = float(bob.trace().real)
-        if prob <= ZERO_BRANCH_ATOL:
-            state, fid, weight = None, None, 0.0
-        else:
-            u = correction(a, outcomes)
-            fixed = u @ (bob / prob) @ dagger(u)
-            fid = _qubit_fidelity(secret_vec, fixed)
-            state, weight = DensityMatrix(fixed), prob * scale
-            chain.append((weight, outcomes))
-        reports.append(
-            IterationReport(
-                iteration_index=iteration_index,
-                alice_outcome=a,
-                collaborator_outcomes=outcomes,
-                correction_applied=_correction_label(a, outcomes),
-                reconstructed_state=state,
-                fidelity=fid,
-                branch_probability=weight,
+    leaves = list(_project_branches(rho, _measurements(cfg), m))
+    for index, secret in enumerate(secrets):
+        secret_vec = secret.vector()
+        for labels, branch in leaves:
+            a, outcomes = int(labels[0]), labels[1:]
+            bob = branch[index] * helper_scale
+            prob = float(bob.trace().real)
+            if prob <= ZERO_BRANCH_ATOL:
+                state, fid, weight = None, None, 0.0
+            else:
+                u = correction(a, outcomes)
+                fixed = u @ (bob / prob) @ dagger(u)
+                fid = _qubit_fidelity(secret_vec, fixed)
+                state, weight = DensityMatrix(fixed), prob * scale
+                chain.append((weight, outcomes))
+            reports.append(
+                IterationReport(
+                    iteration_index=iteration_index,
+                    alice_outcome=a,
+                    collaborator_outcomes=outcomes,
+                    correction_applied=_correction_label(a, outcomes),
+                    reconstructed_state=state,
+                    fidelity=fid,
+                    branch_probability=weight,
+                )
             )
-        )
     return reports, chain
+
+
+def run_iterations(cfg: ProtocolConfig, secrets: Sequence[Secret]) -> list[list[IterationReport]]:
+    """``run_iteration`` for each secret, from one pass over their stacked
+    registers; the report lists match a per-secret loop bit for bit.
+
+    Each secret runs on its own fresh resource, so the results do not
+    depend on which secrets share a call. Secrets are stacked
+    ``STACK_ENTRIES // 4^m`` at a time on m qubits (at least one).
+    """
+    secrets = list(secrets)
+    step = max(1, STACK_ENTRIES // 4**cfg.num_qubits)
+    reports: list[IterationReport] = []
+    for start in range(0, len(secrets), step):
+        batch = secrets[start : start + step]
+        reports += _execute_iteration(cfg, batch, iteration_index=0, scale=1.0)[0]
+    per = 2**cfg.parties  # dealer outcome times each helper's
+    return [reports[i : i + per] for i in range(0, len(reports), per)]
 
 
 def run_iteration(cfg: ProtocolConfig, secret: Secret) -> list[IterationReport]:
@@ -529,7 +570,7 @@ def run_iteration(cfg: ProtocolConfig, secret: Secret) -> list[IterationReport]:
     Without protection the branch probabilities sum to one; with it they
     sum to the post-selection success probability.
     """
-    return start_chain(cfg, secret)[1]
+    return run_iterations(cfg, [secret])[0]
 
 
 def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.ndarray]:
@@ -545,8 +586,8 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
     ``psi`` is ``einsum("bcij,i,j->bc", S, psi, psi.conj())``.
 
     Four pure inputs fix ``Phi`` (process tomography, Chuang & Nielsen,
-    J. Mod. Opt. 44, 2455 (1997)): ``run_iteration`` runs once on each of
-    ``|0>``, ``|1>``, ``|+>`` and ``|+i>``, and each report gives
+    J. Mod. Opt. 44, 2455 (1997)): one ``run_iterations`` call runs
+    ``|0>``, ``|1>``, ``|+>`` and ``|+i>`` together, and each report gives
     ``p U^dag rho U`` (zero for a zero-probability branch), with ``U`` the
     table correction it applied. The off-diagonal images follow as
     ``Phi(|0><1|) = Phi(+) + i Phi(+i) - (1+i)/2 (Phi(0) + Phi(1))`` and
@@ -554,10 +595,11 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
     ``cfg.secrets``, ``iterations`` and ``return_channel`` are not used.
     """
     h = 1.0 / np.sqrt(2.0)
+    inputs = [Secret(alpha, beta) for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (h, h), (h, 1j * h))]
     images = []
-    for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (h, h), (h, 1j * h)):
+    for reports in run_iterations(cfg, inputs):
         image = {}
-        for r in run_iteration(cfg, Secret(alpha, beta)):
+        for r in reports:
             key = (r.alice_outcome, r.collaborator_outcomes)
             if r.reconstructed_state is None:
                 image[key] = np.zeros((2, 2), dtype=complex)
@@ -582,7 +624,7 @@ def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[Prot
     """Run the first iteration and keep the carry-over state for recycling."""
     if secret is None:
         secret = cfg.secrets[0]
-    reports, chain = _execute_iteration(cfg, secret, iteration_index=0, scale=1.0)
+    reports, chain = _execute_iteration(cfg, [secret], iteration_index=0, scale=1.0)
     return ProtocolState(cfg.parties, 1, tuple(chain)), reports
 
 
@@ -650,7 +692,7 @@ def advance(
             weight += w * x
 
     reports, chain = _execute_iteration(
-        cfg, secret, iteration_index=prev.next_iteration, scale=weight
+        cfg, [secret], iteration_index=prev.next_iteration, scale=weight
     )
     return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
 

@@ -5,6 +5,11 @@ reference (simulator branch fidelities, traces of unnormalized states,
 numeric quadrature or a numeric argmax) over a parameter grid and records
 the worst residual. These are the checks behind ``qss-sim validate``.
 
+A suite simulates its whole k-grid (or quadrature nodes) of one (channel,
+protection) configuration in one ``run_iterations`` call, on a stack of
+3-qubit registers, then walks its points in grid order, so residuals,
+worst points and the report bytes are those of one simulation per point.
+
 Tolerances here are fixed per formula. The suites call each closed form
 they check through this module's own name for it (``validate.f_pd`` and so
 on), looked up when ``run_all`` runs, so a test overrides a closed form by
@@ -26,7 +31,7 @@ import numpy as np
 from . import analysis
 from .analysis import avg_f1, avg_f_ad, avg_f_pd, f0_ww, f1_ww, f_ad, f_ad_outcome1, f_pd, r_opt, sp1, sp2
 from .optimize import ScalarObjective, maximize_scalar
-from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, left_sum, run_iteration
+from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, left_sum, run_iterations
 from .quadrature import gauss_legendre
 
 __all__ = ["CheckResult", "run_all", "render_report"]
@@ -50,39 +55,48 @@ class CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _branch_fidelities(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm | None) -> dict:
-    """Simulator (fidelity, probability) per branch of a 2-receiver run.
+def _branch_fidelities(
+    ks: tuple[float, ...], channel: NoiseSpec | None, wmrqm: Wmrqm | None
+) -> tuple[dict, ...]:
+    """Simulator (fidelity, probability) per branch of a 2-receiver run, one
+    dict per secret ``k`` in ``ks``.
 
-    This is the suites' only simulator entry point, and it is memoized
-    because suites share configurations: f0_ww, f1_ww and sp2 read the
-    same adc + protection grid, f_ad and its outcome-1 form the same adc
-    grid, and the phase-damping check integrates two views of each run.
-    The memo lives for one ``run_all`` call: it is cleared when the call
-    starts and when it returns. Within a run each configuration is
+    This is the suites' only simulator entry point. A suite asks for its
+    whole k-grid of one (channel, protection) configuration at once, and
+    ``run_iterations`` simulates those secrets in one pass over their
+    stacked registers, with the bytes each would get on its own. It is
+    memoized because suites share configurations: f0_ww, f1_ww and sp2
+    read the same adc + protection grid, f_ad and its outcome-1 form the
+    same adc grid, and the phase-damping check integrates two views of
+    each run. The memo lives for one ``run_all`` call: it is cleared when
+    the call starts and when it returns. Within a run each configuration is
     simulated once; a memo kept across runs would let a repeated
     ``validate`` in the same process skip the simulator and check nothing
-    new. Every caller shares the returned dict and only reads it.
+    new. Every caller shares the returned dicts and only reads them.
     """
-    secret = Secret.from_k(k)
-    cfg = ProtocolConfig(parties=2, secrets=(secret,), channel=channel, wmrqm=wmrqm)
-    return {
-        (r.alice_outcome, r.collaborator_outcomes[0]): (
-            r.fidelity if r.fidelity is not None else float("nan"),
-            r.branch_probability,
-        )
-        for r in run_iteration(cfg, secret)
-    }
+    secrets = [Secret.from_k(k) for k in ks]
+    cfg = ProtocolConfig(parties=2, secrets=secrets[:1], channel=channel, wmrqm=wmrqm)
+    return tuple(
+        {
+            (r.alice_outcome, r.collaborator_outcomes[0]): (
+                r.fidelity if r.fidelity is not None else float("nan"),
+                r.branch_probability,
+            )
+            for r in reports
+        }
+        for reports in run_iterations(cfg, secrets)
+    )
 
 
-def _survival(k: float, channel: NoiseSpec | None, wmrqm: Wmrqm) -> float:
+def _survival(sim: dict) -> float:
     """Total simulated branch probability, summed in branch order."""
-    return left_sum(p for _, p in _branch_fidelities(k, channel, wmrqm).values())
+    return left_sum(p for _, p in sim.values())
 
 
 def _per_node(g: Callable[[float], float]) -> Callable[[np.ndarray], list[float]]:
     """One-panel ``gauss_legendre`` integrand that calls the scalar ``g``
-    once per node, in node order (the simulator and the overridable closed
-    forms take one ``k`` at a time)."""
+    once per node, in node order (the overridable closed forms take one
+    ``k`` at a time)."""
     return lambda ks: [g(k) for k in ks.tolist()]
 
 
@@ -108,13 +122,25 @@ def _suite_branch_formula(
     name: str, kind: str, formula: Callable, branches: Sequence[tuple[int, str]], n: int, tol: float
 ) -> CheckResult:
     def residuals():
-        for k, q in product(_grid(0.0, 1.0, n), repeat=2):
-            sim = _branch_fidelities(k, NoiseSpec(kind, q), None)
+        ks = tuple(_grid(0.0, 1.0, n))
+        sims = {q: _branch_fidelities(ks, NoiseSpec(kind, q), None) for q in ks}
+        for (i, k), q in product(enumerate(ks), ks):
+            sim = sims[q][i]
             expected = formula(k, q)
             for branch in branches:
                 yield f"k={k:g}, strength={q:g}, branch={branch}", abs(sim[branch][0] - expected)
 
     return _worst(name, tol, residuals())
+
+
+def _protected_adc_grid(n: int) -> tuple[tuple[float, ...], dict]:
+    """The k-grid of the protected adc suites, and its simulation at each
+    ``(s, r, p)`` on the same grid."""
+    ks = tuple(_grid(0.1, 0.9, n))
+    return ks, {
+        (s, r, p): _branch_fidelities(ks, NoiseSpec("adc", p), Wmrqm(s, r))
+        for s, r, p in product(ks, repeat=3)
+    }
 
 
 def _suite_wmrqm_fidelity(
@@ -123,8 +149,9 @@ def _suite_wmrqm_fidelity(
     """``formula(k, s, r, p)`` against both branches of one dealer outcome."""
 
     def residuals():
-        for k, s, r, p in product(_grid(0.1, 0.9, n), repeat=4):
-            sim = _branch_fidelities(k, NoiseSpec("adc", p), Wmrqm(s, r))
+        ks, sims = _protected_adc_grid(n)
+        for (i, k), s, r, p in product(enumerate(ks), ks, ks, ks):
+            sim = sims[s, r, p][i]
             expected = formula(k, s, r, p)
             for branch in ((outcome, "+"), (outcome, "-")):
                 at = f"k={k:g}, s={s:g}, r={r:g}, p={p:g}, branch={branch}"
@@ -134,19 +161,22 @@ def _suite_wmrqm_fidelity(
 
 
 def _suite_sp1(sp1: Callable, tol: float) -> CheckResult:
+    ks = tuple(_grid(0.0, 1.0, 11))
+    sims = {s: _branch_fidelities(ks, None, Wmrqm(s, 0.0)) for s in ks}
     return _worst("sp1 vs simulated trace", tol, (
-        (f"k={k:g}, s={s:g}", abs(_survival(k, None, Wmrqm(s, 0.0)) - sp1(k, s)))
-        for k, s in product(_grid(0.0, 1.0, 11), repeat=2)
+        (f"k={k:g}, s={s:g}", abs(_survival(sims[s][i]) - sp1(k, s)))
+        for (i, k), s in product(enumerate(ks), ks)
     ))
 
 
 def _suite_sp2(sp2: Callable, n: int, tol: float) -> CheckResult:
+    ks, sims = _protected_adc_grid(n)
     return _worst("sp2 vs simulated trace", tol, (
         (
             f"k={k:g}, s={s:g}, r={r:g}, p={p:g}",
-            abs(_survival(k, NoiseSpec("adc", p), Wmrqm(s, r)) - sp2(k, s, r, p)),
+            abs(_survival(sims[s, r, p][i]) - sp2(k, s, r, p)),
         )
-        for k, s, r, p in product(_grid(0.1, 0.9, n), repeat=4)
+        for (i, k), s, r, p in product(enumerate(ks), ks, ks, ks)
     ))
 
 
@@ -227,9 +257,10 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
         for s, r in product(_grid(0.0, 0.7, n), repeat=2):
             for which, view in views:
                 protected = gauss_legendre(
-                    _per_node(
-                        lambda k: view(_branch_fidelities(k, NoiseSpec("pdc", q), Wmrqm(s, r)))
-                    ),
+                    lambda ks: [
+                        view(sim) for sim in
+                        _branch_fidelities(tuple(ks.tolist()), NoiseSpec("pdc", q), Wmrqm(s, r))
+                    ],
                     0.0, 1.0, n=nodes,
                 )
                 gains.append((protected - base, f"q={q:g}, s={s:g}, r={r:g}, {which}"))

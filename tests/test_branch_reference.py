@@ -27,6 +27,8 @@ entries may round in another order, so the two agree to 1e-12, not bitwise.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,14 +50,21 @@ from qss_sim.protocol import (
     Wmrqm,
     advance,
     run_iteration,
+    run_iterations,
     start_chain,
 )
 
 _PROJECTORS = protocol._BASIS_PROJECTORS
 
 
+def encoded_density(secret, n):
+    """``|psi><psi|`` of the secret encoded on a fresh n-qubit resource."""
+    amps = protocol.encode_secret(secret, protocol.make_resource(n)).amplitudes
+    return np.outer(amps, amps.conj())
+
+
 def reference_execute(cfg, secret, iteration_index, scale):
-    rho = protocol._encoded_density(secret, cfg.parties)
+    rho = encoded_density(secret, cfg.parties)
     m = cfg.num_qubits
     transmitted = cfg.transmitted_qubits
     if cfg.wmrqm is not None:
@@ -240,6 +249,66 @@ def test_subnormal_branch_matches_flat_reference():
     )
 
 
+def assert_bits_equal(new, ref):
+    """Reports equal bit for bit: each float by ``float.hex``, so ``-0.0``
+    is not ``0.0``, and each reconstructed matrix by its bytes."""
+    assert len(new) == len(ref)
+    for r, e in zip(new, ref):
+        assert (r.iteration_index, r.alice_outcome, r.collaborator_outcomes, r.correction_applied) == (
+            e.iteration_index, e.alice_outcome, e.collaborator_outcomes, e.correction_applied
+        )
+        assert r.branch_probability.hex() == e.branch_probability.hex()
+        if e.reconstructed_state is None:
+            assert r.reconstructed_state is None and r.fidelity is None
+        else:
+            assert r.fidelity.hex() == e.fidelity.hex()
+            assert r.reconstructed_state.matrix.tobytes() == e.reconstructed_state.matrix.tobytes()
+
+
+edge = st.sampled_from([0.0, 1.0, 5e-324, 0.99609375])
+edge_noise = st.builds(NoiseSpec, st.sampled_from(["pdc", "adc"]), edge | unit)
+
+
+@st.composite
+def secrets(draw):
+    """A secret with a complex phase; one amplitude may be subnormal or tiny."""
+    a = draw(st.sampled_from([5e-324, 2.5e-310, 6.5298541031648925e-152]) | unit)
+    t = draw(st.floats(0.0, 2 * math.pi))
+    b = math.sqrt(1.0 - a * a) * complex(math.cos(t), math.sin(t))
+    return Secret(b, a) if draw(st.booleans()) else Secret(a, b)
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_run_iterations_equals_a_loop_of_run_iteration(parties, data):
+    """A stack of secrets gives each secret the bytes it gets alone, whether
+    the stack is split to ``STACK_ENTRIES`` or run whole."""
+    channel = data.draw(st.none() | edge_noise | st.tuples(*[st.none() | edge_noise] * parties))
+    wmrqm = data.draw(st.none() | st.builds(Wmrqm, edge | unit, edge | unit))
+    batch = data.draw(st.lists(secrets(), min_size=1, max_size=21 if parties <= 5 else 4))
+    cfg = ProtocolConfig(parties=parties, secrets=batch[:1], channel=channel, wmrqm=wmrqm)
+    stack = protocol.STACK_ENTRIES * data.draw(st.sampled_from([1, 4**8]))
+    with mock.patch.object(protocol, "STACK_ENTRIES", stack):
+        batched = run_iterations(cfg, batch)
+    assert len(batched) == len(batch)
+    for reports, secret in zip(batched, batch):
+        assert_bits_equal(reports, run_iteration(cfg, secret))
+
+
+def test_run_iterations_keeps_zero_probability_branches_per_secret():
+    # Full reversal empties the dealer-outcome-1 branches of every secret.
+    h = 2**-0.5
+    batch = [Secret(1.0, 0.0), Secret(0.0, 1.0), Secret(5e-324, 1.0), Secret(h, 1j * h)]
+    cfg = ProtocolConfig(
+        parties=3, secrets=batch[:1], channel=NoiseSpec("adc", 0.5), wmrqm=Wmrqm(0.3, 1.0)
+    )
+    batched = run_iterations(cfg, batch)
+    assert all(r.reconstructed_state is None for reports in batched for r in reports[4:])
+    for reports, secret in zip(batched, batch):
+        assert_bits_equal(reports, run_iteration(cfg, secret))
+
+
 def test_reset_that_misses_zero_is_loud(monkeypatch):
     cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.4),) * 2, iterations=2)
     state, _ = start_chain(cfg)
@@ -300,7 +369,7 @@ def test_recycled_register_is_the_fresh_encoding(parties):
         assignments.append(tuple(survivors[i % len(survivors)] for i in range(helpers)))
         for k in (0.0, 0.37, 1.0):
             secret = Secret.from_k(k)
-            fresh = protocol._encoded_density(secret, parties)
+            fresh = encoded_density(secret, parties)
             for reset_states in assignments:
                 diff = np.max(np.abs(rebuilt_register(secret, reset_states) - fresh))
                 assert diff <= 1e-15, (return_channel, k, diff)

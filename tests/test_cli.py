@@ -561,19 +561,23 @@ class TestValidationMachinery:
     def test_each_configuration_simulated_once_per_run(self, monkeypatch):
         from qss_sim import validate as v
 
-        configs = []
-        real = v.run_iteration
+        configs, calls = [], []
+        real = v.run_iterations
 
-        def counting(cfg, secret):
-            configs.append((secret, cfg.channel, cfg.wmrqm))
-            return real(cfg, secret)
+        def counting(cfg, secrets):
+            calls.append((cfg.channel, cfg.wmrqm))
+            configs.extend((secret, cfg.channel, cfg.wmrqm) for secret in secrets)
+            return real(cfg, secrets)
 
-        monkeypatch.setattr(v, "run_iteration", counting)
+        monkeypatch.setattr(v, "run_iterations", counting)
         for _ in range(2):  # nothing is reused from the first run
             configs.clear()
+            calls.clear()
             v.run_all(grid="coarse")
             # 36 pdc + 36 adc + 81 adc with protection + 121 sp1 + 3 * 9 * 21 quadrature nodes
             assert len(configs) == len(set(configs)) == 841
+            # one call per (channel, protection) config: 6 + 6 + 27 + 11 + 3 * 9
+            assert len(calls) == len(set(calls)) == 77
 
     def test_every_override_reaches_its_suite(self, monkeypatch):
         from qss_sim import validate as v
@@ -616,6 +620,14 @@ class TestValidationMachinery:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("grid", ["coarse", "fine"])
+    def test_report_bytes_match_golden(self, grid, capsys):
+        # Each residual is printed to four digits, so a change in the
+        # simulator's or a closed form's rounding can show up here.
+        assert main(["validate", "--grid", grid]) == 0
+        golden = Path(__file__).parent / "data" / f"validate_{grid}.stdout"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     def test_all_suites_pass(self, capsys):
         assert main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()

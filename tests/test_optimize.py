@@ -33,6 +33,7 @@ from qss_sim.protocol import (
     branch_maps,
     correction,
     run_iteration,
+    run_iterations,
 )
 
 
@@ -277,7 +278,50 @@ def channels(draw, parties):
     return draw(st.none() | noise_specs | st.tuples(*[st.none() | noise_specs] * parties))
 
 
+def four_run_maps(cfg):
+    """``branch_maps`` from four separate ``run_iteration`` calls, one per
+    tomography input, combined as ``branch_maps`` combines them."""
+    h = 1.0 / np.sqrt(2.0)
+    images = []
+    for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (h, h), (h, 1j * h)):
+        image = {}
+        for r in run_iteration(cfg, Secret(alpha, beta)):
+            key = (r.alice_outcome, r.collaborator_outcomes)
+            if r.reconstructed_state is None:
+                image[key] = np.zeros((2, 2), dtype=complex)
+            else:
+                u = correction(*key)
+                image[key] = r.branch_probability * (dagger(u) @ r.reconstructed_state.matrix @ u)
+        images.append(image)
+    zero, one, plus, plus_i = images
+    maps = {}
+    for key in zero:
+        diagonal = zero[key] + one[key]
+        s = np.empty((2, 2, 2, 2), dtype=complex)
+        s[:, :, 0, 0] = zero[key]
+        s[:, :, 1, 1] = one[key]
+        s[:, :, 0, 1] = plus[key] + 1j * plus_i[key] - 0.5 * (1 + 1j) * diagonal
+        s[:, :, 1, 0] = plus[key] - 1j * plus_i[key] - 0.5 * (1 - 1j) * diagonal
+        maps[key] = s
+    return maps
+
+
 class TestBranchMaps:
+    @pytest.mark.parametrize("parties", [2, 3, 4, 5])
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_batched_run_gives_the_four_run_bytes(self, parties, data):
+        cfg = ProtocolConfig(
+            parties=parties,
+            secrets=(Secret(1.0, 0.0),),
+            channel=data.draw(channels(parties)),
+            wmrqm=data.draw(st.none() | st.builds(Wmrqm, st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+        )
+        maps, want = branch_maps(cfg), four_run_maps(cfg)
+        assert list(maps) == list(want)
+        for key, s in want.items():
+            assert maps[key].tobytes() == s.tobytes()
+
     @pytest.mark.parametrize("parties", [2, 3])
     @settings(max_examples=10, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
@@ -309,14 +353,15 @@ class TestBranchMaps:
     def test_objective_simulates_four_inputs(self, monkeypatch):
         calls = []
 
-        def counting(cfg, secret):
-            calls.append(secret)
-            return run_iteration(cfg, secret)
+        def counting(cfg, secrets):
+            calls.append(list(secrets))
+            return run_iterations(cfg, secrets)
 
-        monkeypatch.setattr("qss_sim.protocol.run_iteration", counting)
+        monkeypatch.setattr("qss_sim.protocol.run_iterations", counting)
         correction_objective(1, ["-", "+"], channel=NoiseSpec("adc", 0.4), parties=3)
         h = 2**-0.5
-        assert np.array([s.vector() for s in calls]) == pytest.approx(
+        assert len(calls) == 1  # all four in one batched run
+        assert np.array([s.vector() for s in calls[0]]) == pytest.approx(
             np.array([[1, 0], [0, 1], [h, h], [h, 1j * h]]), abs=1e-15
         )
 

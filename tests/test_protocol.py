@@ -102,6 +102,19 @@ class TestEncodeSecret:
         with pytest.raises(ValueError):
             encode_secret(Secret.from_k(0.5), not_ghz)
 
+    def test_resource_check_has_no_relative_slack(self):
+        from qss_sim.linalg import PureState
+
+        def rotated(angle):
+            # normalised, and ``angle`` radians off GHZ in its 2-d span
+            amps = np.zeros(8, dtype=complex)
+            amps[0], amps[-1] = np.cos(np.pi / 4 + angle), np.sin(np.pi / 4 + angle)
+            return PureState(amps)
+
+        with pytest.raises(ValueError, match="not the GHZ state"):
+            encode_secret(Secret.from_k(0.5), rotated(5e-6))
+        encode_secret(Secret.from_k(0.5), rotated(1e-11))
+
 
 class TestMeasureProjective:
     def test_zero_one_projection(self):

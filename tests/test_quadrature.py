@@ -276,5 +276,4 @@ class TestLeftToRightSums:
         reports = [SimpleNamespace(branch_probability=v, fidelity=1.0) for v in self.VALUES]
         assert success_probability(reports) == 0.5
         branches = {index: (1.0, v) for index, v in enumerate(self.VALUES)}
-        monkeypatch.setattr(validate, "_branch_fidelities", lambda k, channel, wmrqm: branches)
-        assert validate._survival(0.5, None, None) == 0.5
+        assert validate._survival(branches) == 0.5
