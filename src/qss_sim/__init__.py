@@ -23,7 +23,6 @@ from .analysis import (
     f_ad,
     f_ad_outcome1,
     f_pd,
-    fidelity,
     in_validity_region,
     r_opt,
     region_bounds,
@@ -34,7 +33,6 @@ from .channels import (
     KrausChannel,
     adc,
     apply_channel,
-    apply_selective,
     pdc,
     validate_cptp,
     weak_op,
@@ -43,8 +41,6 @@ from .linalg import (
     DensityMatrix,
     PureState,
     embed,
-    max_eigenvalue,
-    partial_trace,
     su2,
 )
 from .optimize import (
@@ -58,7 +54,6 @@ from .optimize import (
 from .protocol import (
     CORRECTION_TABLE,
     IterationReport,
-    MeasurementRecord,
     NoiseSpec,
     ProtocolConfig,
     ProtocolState,
@@ -70,13 +65,11 @@ from .protocol import (
     correction,
     encode_secret,
     make_resource,
-    measure_projective,
     run_iteration,
     run_iterations,
     run_protocol,
     start_chain,
     success_probability,
-    withheld_outcome_state,
 )
 
 __version__ = "0.1.0"

@@ -35,10 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix, _qubit_fidelity
-from .protocol import Secret
 from .quadrature import adaptive_gauss_legendre
-from .tolerances import ATOL, POLE_ATOL
+from .tolerances import POLE_ATOL
 
 __all__ = [
     "DomainError",
@@ -59,7 +57,6 @@ __all__ = [
     "f1_ww",
     "avg_f1",
     "optimal_line",
-    "fidelity",
 ]
 
 
@@ -360,12 +357,3 @@ def avg_f1(p: float, r: float) -> float:
 def optimal_line(p: float) -> float:
     """Fidelity ceiling reached at full reversal strength (``r = 1``)."""
     return f1_ww(0.5, 1.0, p)
-
-
-def fidelity(secret: Secret, rho: DensityMatrix) -> float:
-    """Overlap ``<psi| rho |psi>`` of a secret with a reconstructed qubit."""
-    if rho.num_qubits != 1:
-        raise ValueError(f"expected a single-qubit state, got {rho.num_qubits} qubits")
-    if abs(rho.trace - 1.0) > ATOL:
-        raise ValueError(f"state must be normalized, trace = {rho.trace}")
-    return _qubit_fidelity(secret.vector(), rho.matrix)

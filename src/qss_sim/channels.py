@@ -13,10 +13,11 @@ null outcome biases the state toward ``|0>`` reversibly (the click outcome
 collapses onto ``|1>`` and is discarded), and a reverse measurement of
 strength ``r`` that biases back toward ``|1>`` after the noise has acted.
 
-Selective operations return the unnormalized post-selected state together
-with its trace, which is the branch probability; they never renormalize,
-because the success probabilities of the protection scheme are defined as
-traces of unnormalized states.
+The simulator applies ``forward_null`` and ``reverse`` as single Kraus
+operators, keeping only the post-selected branch: the state stays
+unnormalized and its trace is the success probability, because the success
+probabilities of the protection scheme are defined as traces of
+unnormalized states.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "adc",
     "apply_channel",
     "weak_op",
-    "apply_selective",
     "validate_cptp",
 ]
 
@@ -154,23 +154,6 @@ def weak_op(kind: str, strength: float) -> np.ndarray:
     if kind == REVERSE:
         return _readonly([[np.sqrt(1.0 - strength), 0.0], [0.0, 1.0]])
     raise ValueError(f"unknown measurement kind {kind!r}")
-
-
-def apply_selective(
-    rho: DensityMatrix, op: np.ndarray, qubit: int
-) -> tuple[DensityMatrix | None, float]:
-    """Apply a measurement operator to one qubit, keeping that branch only.
-
-    Returns the unnormalized post-selected state ``E rho E^dag`` and its
-    trace, the probability of landing in this branch. The caller decides
-    when (and whether) to renormalize. If the branch has zero probability
-    the state is ``None``.
-    """
-    out = _apply_channel_matrix(rho.matrix, (op,), qubit, rho.num_qubits)
-    prob = float(out.trace().real)
-    if prob <= 0.0:
-        return None, 0.0
-    return DensityMatrix(out), prob
 
 
 def validate_cptp(operators: Sequence[np.ndarray]) -> float:

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small qubit registers.
 
 Everything here is plain dense ``numpy`` over registers of at most 8 qubits:
-``embed`` (the simulator lifts only the secret's CNOT with it; ``channels``
-applies one-qubit operators on a tensor axis), partial trace, Hermitian
-eigenvalues and a three-angle ``su2`` parameterization. Kronecker products
-are ``np.kron`` itself.
+the validated state types, ``embed`` (the simulator lifts only the secret's
+CNOT with it; ``channels`` applies one-qubit operators on a tensor axis) and
+a three-angle ``su2`` parameterization. Kronecker products are ``np.kron``
+itself.
 
 Conventions
 -----------
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tolerances import ATOL, LINALG_ATOL
+from .tolerances import ATOL
 
 __all__ = [
     "ID2",
@@ -40,8 +40,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "embed",
-    "partial_trace",
-    "max_eigenvalue",
     "su2",
     "dagger",
 ]
@@ -111,8 +109,8 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive-semidefinite state of an m-qubit register.
 
-    The trace may be below one: selective (post-selected) operations return
-    sub-normalized states whose trace is the branch probability. A trace of
+    The trace may be below one: a post-selected branch state is
+    sub-normalized, and its trace is the branch probability. A trace of
     zero is not representable; zero-probability branches must be handled by
     the caller before constructing a state.
     """
@@ -144,10 +142,6 @@ class DensityMatrix:
     @property
     def num_qubits(self) -> int:
         return _num_qubits(self.dim)
-
-    def normalized(self) -> "DensityMatrix":
-        """Unit-trace copy."""
-        return DensityMatrix(self.matrix / self.trace)
 
 
 def embed(op: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
@@ -190,41 +184,6 @@ def embed(op: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(2**m, 2**m))
 
 
-def _partial_trace_matrix(mat: np.ndarray, keep: Sequence[int], m: int) -> np.ndarray:
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= m for q in keep):
-        raise ValueError(f"invalid keep set {keep} for {m}-qubit register")
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    traced = [q for q in range(m) if q not in keep]
-    tens = mat.reshape((2,) * (2 * m))
-    for q in sorted(traced, reverse=True):
-        tens = np.trace(tens, axis1=q, axis2=q + tens.ndim // 2)
-    k = len(keep)
-    # np.trace leaves the kept axes in ascending register order; reorder to
-    # the caller's listed order.
-    ascending = sorted(keep)
-    perm = [ascending.index(q) for q in keep]
-    tens = tens.transpose(perm + [k + p for p in perm])
-    return tens.reshape(2**k, 2**k)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept qubits (listed order), trace preserved."""
-    reduced = _partial_trace_matrix(rho.matrix, keep, rho.num_qubits)
-    return DensityMatrix(reduced)
-
-
-def max_eigenvalue(rho: DensityMatrix) -> float:
-    """Largest eigenvalue of a state.
-
-    For a single-qubit state this is the best overlap any unitary can
-    achieve with a known pure target, so it upper-bounds every
-    correction-based reconstruction fidelity.
-    """
-    return float(np.linalg.eigvalsh(rho.matrix)[-1])
-
-
 def su2(theta: float, phi: float, lam: float) -> np.ndarray:
     """Single-qubit unitary from three angles.
 
@@ -239,9 +198,3 @@ def su2(theta: float, phi: float, lam: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def is_unitary(u: np.ndarray, atol: float = LINALG_ATOL) -> bool:
-    """Whether ``u`` is unitary within ``atol``."""
-    u = np.asarray(u, dtype=complex)
-    return bool(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) <= atol)

@@ -19,7 +19,7 @@ common phase of that slice and beats the Pauli table there, while over the
 full family the Pauli table is optimal. A secret-dependent unitary would
 score higher still (its ceiling is the largest eigenvalue of the branch
 state) but is not operationally available to a reconstructor who does not
-know the secret; ``max_eigenvalue`` exposes that bound as a diagnostic.
+know the secret.
 
 The score of a unitary ``U`` is ``Re sum_n w_n <t_n| U rho_n U^dag |t_n>``
 over the quadrature nodes ``n``. The branch state ``rho_n`` is the branch's

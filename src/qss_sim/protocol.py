@@ -69,14 +69,11 @@ __all__ = [
     "NoiseSpec",
     "Wmrqm",
     "ProtocolConfig",
-    "MeasurementRecord",
     "IterationReport",
     "ProtocolState",
     "CORRECTION_TABLE",
     "make_resource",
     "encode_secret",
-    "withheld_outcome_state",
-    "measure_projective",
     "correction",
     "run_iteration",
     "run_iterations",
@@ -253,19 +250,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """One outcome branch of a projective measurement.
-
-    ``state`` is the unnormalized projected register state; its trace is
-    the branch probability. Zero-probability branches carry ``None``.
-    """
-
-    outcome: str
-    probability: float
-    state: DensityMatrix | None
-
-
-@dataclass(frozen=True)
 class IterationReport:
     """Result of one measurement-outcome branch of one iteration."""
 
@@ -331,10 +315,6 @@ def correction(alice: int, collaborators: Sequence[str]) -> np.ndarray:
     return CORRECTION_TABLE[_correction_key(alice, collaborators)]
 
 
-def _correction_label(alice: int, collaborators: Sequence[str]) -> str:
-    return _CORRECTION_LABELS[_correction_key(alice, collaborators)]
-
-
 def _cnot(control: int, target: int, m: int) -> np.ndarray:
     gate = np.zeros((4, 4), dtype=complex)
     gate[0, 0] = gate[1, 1] = gate[3, 2] = gate[2, 3] = 1.0
@@ -392,43 +372,6 @@ def _measurements(cfg: ProtocolConfig) -> list[tuple[int, str]]:
     return [(ALICE_QUBIT, "computational")] + [(q, "hadamard") for q in cfg.collaborator_qubits]
 
 
-def withheld_outcome_state(state: DensityMatrix, cfg: ProtocolConfig) -> DensityMatrix:
-    """Register state once all protocol measurements are done but no outcome
-    has been announced.
-
-    The dealer's computational measurement and every helper's Hadamard
-    measurement are summed over their outcomes (a local dephasing). This is
-    the state an outsider, or any single receiver ignoring their own
-    outcome, assigns before classical communication; the secrecy of the
-    scheme is the statement that each receiver's marginal of it is I/2.
-    """
-    mat, m = state.matrix, cfg.num_qubits
-    for qubit, basis in _measurements(cfg):
-        mat = _apply_channel_matrix(mat, [p for _, p in _BASIS_PROJECTORS[basis]], qubit, m)
-    return DensityMatrix(mat)
-
-
-def measure_projective(
-    rho: DensityMatrix, qubit: int, basis: str
-) -> list[MeasurementRecord]:
-    """Project one qubit onto a basis, returning every outcome branch.
-
-    Branch probabilities sum to ``trace(rho)``; the recorded states stay
-    unnormalized.
-    """
-    if basis not in _BASIS_PROJECTORS:
-        raise ValueError(f"unknown basis {basis!r}")
-    records = []
-    for outcome, proj in _BASIS_PROJECTORS[basis]:
-        projected = _apply_channel_matrix(rho.matrix, (proj,), qubit, rho.num_qubits)
-        prob = float(projected.trace().real)
-        if prob <= ZERO_BRANCH_ATOL:
-            records.append(MeasurementRecord(outcome, 0.0, None))
-        else:
-            records.append(MeasurementRecord(outcome, prob, DensityMatrix(projected)))
-    return records
-
-
 def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: tuple = ()) -> Iterator:
     """Yield ``(labels, unmeasured blocks)`` for every outcome branch of the
     ``(qubit, basis)`` ``measurements``, depth-first in ``itertools.product``
@@ -479,7 +422,8 @@ def _execute_iteration(
     The registers of all secrets form one stack, so each operator and
     projection is one call over the stack; every register gets the
     arithmetic it would get alone, and the per-branch tail (trace,
-    normalisation, correction, fidelity) runs per secret as for one.
+    normalisation, correction, fidelity) runs per secret as for one. Each
+    leaf's correction is looked up once, for every secret.
 
     ``_project_branches`` walks the measurements depth-first, so branches
     that agree on their first d outcomes share one projected register, and
@@ -515,18 +459,21 @@ def _execute_iteration(
     reports: list[IterationReport] = []
     chain: list[tuple[float, tuple[str, ...]]] = []
     helper_scale = 2.0 ** len(cfg.collaborator_qubits)
-    leaves = list(_project_branches(rho, _measurements(cfg), m))
+    leaves = []
+    for labels, branch in _project_branches(rho, _measurements(cfg), m):
+        a, outcomes = int(labels[0]), labels[1:]
+        key = _correction_key(a, outcomes)
+        u = CORRECTION_TABLE[key]
+        leaves.append((a, outcomes, branch, u, dagger(u), _CORRECTION_LABELS[key]))
     for index, secret in enumerate(secrets):
         secret_vec = secret.vector()
-        for labels, branch in leaves:
-            a, outcomes = int(labels[0]), labels[1:]
+        for a, outcomes, branch, u, u_dagger, label in leaves:
             bob = branch[index] * helper_scale
             prob = float(bob.trace().real)
             if prob <= ZERO_BRANCH_ATOL:
                 state, fid, weight = None, None, 0.0
             else:
-                u = correction(a, outcomes)
-                fixed = u @ (bob / prob) @ dagger(u)
+                fixed = u @ (bob / prob) @ u_dagger
                 fid = _qubit_fidelity(secret_vec, fixed)
                 state, weight = DensityMatrix(fixed), prob * scale
                 chain.append((weight, outcomes))
@@ -535,7 +482,7 @@ def _execute_iteration(
                     iteration_index=iteration_index,
                     alice_outcome=a,
                     collaborator_outcomes=outcomes,
-                    correction_applied=_correction_label(a, outcomes),
+                    correction_applied=label,
                     reconstructed_state=state,
                     fidelity=fid,
                     branch_probability=weight,
@@ -620,24 +567,28 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
     return maps
 
 
-def start_chain(cfg: ProtocolConfig, secret: Secret | None = None) -> tuple[ProtocolState, list[IterationReport]]:
-    """Run the first iteration and keep the carry-over state for recycling."""
-    if secret is None:
-        secret = cfg.secrets[0]
-    reports, chain = _execute_iteration(cfg, [secret], iteration_index=0, scale=1.0)
+def start_chain(cfg: ProtocolConfig) -> tuple[ProtocolState, list[IterationReport]]:
+    """Run the first iteration on ``cfg.secrets[0]`` and keep the carry-over
+    state for recycling."""
+    reports, chain = _execute_iteration(cfg, cfg.secrets[:1], iteration_index=0, scale=1.0)
     return ProtocolState(cfg.parties, 1, tuple(chain)), reports
 
 
 def _reset_to_zero(state: DensityMatrix) -> list[tuple[float, np.ndarray]]:
-    """Dealer's reset of a returned qubit: measure, flip to |0> if needed."""
+    """Dealer's reset of a returned qubit: measure, flip to |0> if needed.
+
+    One ``(probability, reset state)`` per outcome above ``ZERO_BRANCH_ATOL``.
+    """
     out = []
-    for rec in measure_projective(state, 0, "computational"):
-        if rec.state is None:
+    for outcome, proj in _BASIS_PROJECTORS["computational"]:
+        projected = _apply_channel_matrix(state.matrix, (proj,), 0, 1)
+        prob = float(projected.trace().real)
+        if prob <= ZERO_BRANCH_ATOL:
             continue
-        fixed = rec.state.matrix / rec.probability
-        if rec.outcome == "1":
+        fixed = projected / prob
+        if outcome == "1":
             fixed = PAULI_X @ fixed @ PAULI_X
-        out.append((rec.probability, fixed))
+        out.append((prob, fixed))
     return out
 
 
@@ -699,7 +650,7 @@ def advance(
 
 def run_protocol(cfg: ProtocolConfig) -> list[list[IterationReport]]:
     """Run every configured iteration, recycling qubits in between."""
-    state, reports = start_chain(cfg, cfg.secrets[0])
+    state, reports = start_chain(cfg)
     out = [reports]
     for secret in cfg.secrets[1:]:
         state, reports = advance(state, secret, cfg)

@@ -1,8 +1,8 @@
 """Numeric tolerances used across the package.
 
 Two tiers: a general equality/invariant tolerance (1e-10) and a tighter one
-for linear-algebra residuals such as channel completeness or unitarity
-(1e-12). Double precision over registers of at most 8 qubits keeps roundoff
+for linear-algebra residuals such as channel completeness or the reset
+state (1e-12). Double precision over registers of at most 8 qubits keeps roundoff
 well below both. ``POLE_ATOL`` is the distance from a closed form's pole
 below which its value is refused rather than returned.
 """

@@ -69,6 +69,28 @@ def apply_channel_oracle(mat, kraus_ops, qubit, m):
     return out
 
 
+# Projectors of each measurement basis, by outcome label, built from their
+# kets here rather than taken from the package.
+_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
+_MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
+PROJECTORS = {
+    "computational": {"0": np.diag([1.0, 0.0]), "1": np.diag([0.0, 1.0])},
+    "hadamard": {"+": np.outer(_PLUS, _PLUS), "-": np.outer(_MINUS, _MINUS)},
+}
+
+
+def withheld_oracle(mat, cfg):
+    """Register state once every protocol measurement is made but no outcome
+    announced: the dealer's qubit (position 1) dephased in the computational
+    basis and each helper's in the Hadamard basis, summed over outcomes.
+    Secrecy is the statement that each receiver's marginal of it is I/2."""
+    m = cfg.num_qubits
+    mat = apply_channel_oracle(mat, PROJECTORS["computational"].values(), 1, m)
+    for qubit in cfg.collaborator_qubits:
+        mat = apply_channel_oracle(mat, PROJECTORS["hadamard"].values(), qubit, m)
+    return mat
+
+
 def random_density(rng, m, rank=None):
     """Random full-rank (default) density matrix on m qubits."""
     dim = 2**m

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.integrate import quad
 
-from conftest import random_secret
+from conftest import partial_trace_oracle, random_secret, withheld_oracle
 from qss_sim.analysis import (
     avg_f_ad,
     avg_f_opt0,
@@ -49,9 +49,7 @@ from qss_sim.protocol import (
     start_chain,
     advance,
     success_probability,
-    withheld_outcome_state,
 )
-from qss_sim.linalg import partial_trace
 
 
 @contextmanager
@@ -164,7 +162,7 @@ def test_criterion_4_sequential_independence(rng):
                         cfg2 = ProtocolConfig(
                             parties=2, secrets=(secret,), channel=NoiseSpec(kind, float(noise2))
                         )
-                        state, _ = start_chain(cfg1, secret)
+                        state, _ = start_chain(cfg1)
                         _, chained = advance(state, secret, cfg2)
                         single = {
                             (r.alice_outcome, r.collaborator_outcomes): r.fidelity
@@ -254,10 +252,10 @@ def test_criterion_9_secrecy_marginals():
             secret = Secret.from_k(0.3)
             cfg = ProtocolConfig(parties=n, secrets=(secret,))
             shared = encode_secret(secret, make_resource(n)).density()
-            ensemble = withheld_outcome_state(shared, cfg)
+            ensemble = withheld_oracle(shared.matrix, cfg)
             for qubit in (0,) + tuple(range(2, n + 1)):
-                reduced = partial_trace(ensemble, [qubit])
-                assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) < 1e-12
+                reduced = partial_trace_oracle(ensemble, [qubit], cfg.num_qubits)
+                assert np.max(np.abs(reduced - np.eye(2) / 2)) < 1e-12
 
 
 def test_criterion_10_correction_table_optimality():

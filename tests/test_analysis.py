@@ -15,15 +15,12 @@ from qss_sim.analysis import (
     f_ad,
     f_ad_outcome1,
     f_pd,
-    fidelity,
     in_validity_region,
     r_opt,
     region_bounds,
     sp1,
     sp2,
 )
-from qss_sim.linalg import DensityMatrix
-from qss_sim.protocol import Secret
 from qss_sim.tolerances import POLE_ATOL
 
 
@@ -294,26 +291,6 @@ class TestProtectedFidelityOutcome1:
             for r in (0.0, 0.5, 0.9):
                 integral, _ = quad(lambda k: f1_ww(k, r, p), 0.0, 1.0, epsabs=1e-13)
                 assert avg_f1(p, r) == pytest.approx(integral, abs=1e-9)
-
-
-class TestFidelityOverlap:
-    def test_own_state(self):
-        secret = Secret.from_k(0.7)
-        rho = DensityMatrix(np.outer(secret.vector(), secret.vector().conj()))
-        assert fidelity(secret, rho) == pytest.approx(1.0)
-
-    def test_maximally_mixed(self):
-        secret = Secret.from_k(0.2)
-        assert fidelity(secret, DensityMatrix(np.eye(2) / 2)) == pytest.approx(0.5)
-
-    def test_classical_overlap(self):
-        assert fidelity(Secret.from_k(0.8), DensityMatrix(np.diag([0.8, 0.2]))) == pytest.approx(
-            0.68
-        )
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity(Secret.from_k(0.5), DensityMatrix(np.diag([0.4, 0.4])))
 
 
 class TestFormulaRegistry:

@@ -34,12 +34,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
+from conftest import partial_trace_oracle, random_density
 from qss_sim import protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
-from qss_sim.linalg import (
-    KET_0, KET_PLUS, PAULI_X, DensityMatrix, _partial_trace_matrix, _qubit_fidelity, dagger, embed, su2
-)
+from qss_sim.linalg import KET_0, KET_PLUS, PAULI_X, DensityMatrix, _qubit_fidelity, dagger, embed, su2
 from qss_sim.protocol import (
     ALICE_QUBIT,
     ZERO_BRANCH_ATOL,
@@ -61,6 +61,64 @@ def encoded_density(secret, n):
     """``|psi><psi|`` of the secret encoded on a fresh n-qubit resource."""
     amps = protocol.encode_secret(secret, protocol.make_resource(n)).amplitudes
     return np.outer(amps, amps.conj())
+
+
+def _partial_trace_matrix(mat, keep, m):
+    """Partial trace onto ``keep`` (listed order) by ``np.trace`` over each
+    traced qubit's axis pair, last qubit first."""
+    traced = [q for q in range(m) if q not in keep]
+    tens = mat.reshape((2,) * (2 * m))
+    for q in sorted(traced, reverse=True):
+        tens = np.trace(tens, axis1=q, axis2=q + tens.ndim // 2)
+    k = len(keep)
+    # np.trace leaves the kept axes in ascending register order; reorder to
+    # the caller's listed order.
+    ascending = sorted(keep)
+    perm = [ascending.index(q) for q in keep]
+    tens = tens.transpose(perm + [k + p for p in perm])
+    return tens.reshape(2**k, 2**k)
+
+
+class TestPartialTrace:
+    def test_product_state(self):
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)  # |00><00|
+        assert_allclose(_partial_trace_matrix(rho, [0], 2), np.outer(KET_0, KET_0))
+
+    def test_noiseless_shared_state_marginal_is_maximally_mixed(self):
+        # the reconstructor's qubit of the shared three-qubit state carries
+        # no information before any announcement
+        shared = encoded_density(Secret.from_k(0.3), 2)
+        assert_allclose(_partial_trace_matrix(shared, [2], 3), np.eye(2) / 2, atol=1e-12)
+
+    def test_matches_index_loop_oracle(self, rng):
+        rho = random_density(rng, 3).matrix
+        for keep in ([0], [2], [0, 2], [1, 2], [2, 0]):
+            assert_allclose(
+                _partial_trace_matrix(rho, keep, 3),
+                partial_trace_oracle(rho, keep, 3),
+                atol=1e-12,
+            )
+
+    def test_damped_protected_state_reduction(self):
+        # reduced state of the register after the full protect-damage cycle
+        rho = encoded_density(Secret.from_k(0.4), 2)
+        for ops in ((weak_op(FORWARD_NULL, 0.2),), adc(0.3).operators, (weak_op(REVERSE, 0.5),)):
+            for q in (0, 2):
+                rho = _apply_channel_matrix(rho, ops, q, 3)
+        rho = rho / rho.trace().real
+        assert_allclose(
+            _partial_trace_matrix(rho, [2], 3), partial_trace_oracle(rho, [2], 3), atol=1e-12
+        )
+
+    def test_trace_preserved_and_keep_all_identity(self, rng):
+        rho = random_density(rng, 3).matrix
+        for keep in ([0], [1], [0, 1], [0, 1, 2]):
+            assert abs(_partial_trace_matrix(rho, keep, 3).trace() - rho.trace()) < 1e-12
+        assert_allclose(_partial_trace_matrix(rho, [0, 1, 2], 3), rho, atol=1e-15)
+
+
+def _correction_label(alice, collaborators):
+    return protocol._CORRECTION_LABELS[protocol._correction_key(alice, collaborators)]
 
 
 def reference_execute(cfg, secret, iteration_index, scale):
@@ -93,7 +151,7 @@ def reference_execute(cfg, secret, iteration_index, scale):
                 branch = _apply_channel_matrix(branch, (proj_collab[o],), q, m)
             bob = _partial_trace_matrix(branch, [cfg.bob_qubit], m)
             prob = float(bob.trace().real)
-            label = protocol._correction_label(a, outcomes)
+            label = _correction_label(a, outcomes)
             if prob <= ZERO_BRANCH_ATOL:
                 reports.append(
                     IterationReport(iteration_index, a, outcomes, label, None, None, 0.0)
@@ -182,7 +240,7 @@ def assert_reports_identical(new, ref):
 
 def assert_matches_reference(cfg):
     secret = cfg.secrets[0]
-    state, reports = start_chain(cfg, secret)
+    state, reports = start_chain(cfg)
     ref_reports, ref_chain = reference_execute(cfg, secret, 0, 1.0)
     assert_reports_identical(reports, ref_reports)
     assert state.branches == tuple(ref_chain)

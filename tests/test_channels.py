@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import apply_channel_oracle, random_density
+from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density
 from qss_sim.channels import (
     FORWARD_CLICK,
     FORWARD_NULL,
     REVERSE,
     KrausChannel,
+    _apply_channel_matrix,
     adc,
     apply_channel,
-    apply_selective,
     pdc,
     validate_cptp,
     weak_op,
 )
 from qss_sim.linalg import ID2, KET_PLUS, DensityMatrix
-from qss_sim.protocol import Secret, encode_secret, make_resource, measure_projective
+from qss_sim.protocol import Secret, encode_secret, make_resource
 
 
 class TestPhaseDamping:
@@ -93,20 +93,19 @@ class TestApplyChannel:
         a, b = np.sqrt(k), np.sqrt(1 - k)
         secret = Secret(alpha=a, beta=b)
         rho = encode_secret(secret, make_resource(2)).density()
-        rho = apply_channel(apply_channel(rho, adc(p), 0), adc(p), 2)
-        alice0 = measure_projective(rho, 1, "computational")[0].state
-        charlie_plus = measure_projective(alice0, 0, "hadamard")[0].state
-        from qss_sim.linalg import partial_trace
-
-        bob = partial_trace(charlie_plus, [2])
+        rho = apply_channel(apply_channel(rho, adc(p), 0), adc(p), 2).matrix
+        alice0 = _apply_channel_matrix(rho, (PROJECTORS["computational"]["0"],), 1, 3)
+        charlie_plus = _apply_channel_matrix(alice0, (PROJECTORS["hadamard"]["+"],), 0, 3)
+        bob = partial_trace_oracle(charlie_plus, [2], 3)
+        prob = float(bob.trace().real)
         expected = np.array(
             [
                 [a * a + p * b * b, (1 - p) * a * b],
                 [(1 - p) * a * b, (1 - p) * b * b],
             ]
-        ) * bob.trace
-        assert_allclose(bob.matrix, expected, atol=1e-12)
-        assert bob.trace == pytest.approx(0.25, abs=1e-12)
+        ) * prob
+        assert_allclose(bob, expected, atol=1e-12)
+        assert prob == pytest.approx(0.25, abs=1e-12)
 
 
 class TestWeakOps:
@@ -148,49 +147,48 @@ class TestWeakOps:
             assert m.tobytes() == np.asarray(np.array(rows), dtype=complex).tobytes()
 
 
-class TestApplySelective:
+def post_select(mat, op, qubits, m):
+    """Unnormalized state after the outcome ``op`` on each of ``qubits``."""
+    for q in qubits:
+        mat = _apply_channel_matrix(mat, (op,), q, m)
+    return mat
+
+
+class TestPostSelection:
     def test_zero_strength_keeps_state(self, rng):
-        rho = random_density(rng, 2)
-        out, prob = apply_selective(rho, weak_op(FORWARD_NULL, 0.0), 0)
-        assert prob == pytest.approx(1.0)
-        assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+        rho = random_density(rng, 2).matrix
+        out = post_select(rho, weak_op(FORWARD_NULL, 0.0), [0], 2)
+        assert out.trace().real == pytest.approx(1.0)
+        assert_allclose(out, rho, atol=1e-15)
 
     def test_survival_probability_closed_form(self):
         # trace after forward-null on both transmitted qubits
         for k in (0.0, 0.3, 1.0):
             for s in (0.0, 0.4, 0.9):
-                rho = encode_secret(Secret.from_k(k), make_resource(2)).density()
-                for q in (0, 2):
-                    rho, _ = apply_selective(rho, weak_op(FORWARD_NULL, s), q)
+                rho = encode_secret(Secret.from_k(k), make_resource(2)).density().matrix
+                rho = post_select(rho, weak_op(FORWARD_NULL, s), (0, 2), 3)
                 expected = 0.5 * (1 + (1 - s)) * (1 - (1 - k) * s)
-                assert rho.trace == pytest.approx(expected, abs=1e-12)
+                assert rho.trace().real == pytest.approx(expected, abs=1e-12)
 
     def test_full_cycle_trace_matches_closed_form(self):
-        from qss_sim.analysis import sp2
-        from qss_sim.channels import apply_channel
+        from qss_sim.analysis import sp1, sp2
 
         k, s, r, p = 0.5, 0.3, 0.4, 0.2
-        rho = encode_secret(Secret.from_k(k), make_resource(2)).density()
+        rho = encode_secret(Secret.from_k(k), make_resource(2)).density().matrix
+        rho = post_select(rho, weak_op(FORWARD_NULL, s), (0, 2), 3)
+        assert rho.trace().real == pytest.approx(sp1(k, s), abs=1e-12)
         for q in (0, 2):
-            rho, _ = apply_selective(rho, weak_op(FORWARD_NULL, s), q)
-        for q in (0, 2):
-            rho = apply_channel(rho, adc(p), q)
-        for q in (0, 2):
-            rho, _ = apply_selective(rho, weak_op(REVERSE, r), q)
-        assert rho.trace == pytest.approx(sp2(k, s, r, p), abs=1e-12)
-
-    def test_zero_probability_branch(self):
-        ground = DensityMatrix(np.diag([1.0, 0.0]))
-        state, prob = apply_selective(ground, weak_op(FORWARD_CLICK, 0.8), 0)
-        assert state is None and prob == 0.0
+            rho = _apply_channel_matrix(rho, adc(p).operators, q, 3)
+        rho = post_select(rho, weak_op(REVERSE, r), (0, 2), 3)
+        assert rho.trace().real == pytest.approx(sp2(k, s, r, p), abs=1e-12)
 
     def test_reverse_after_forward_null_rescales_when_strengths_match(self, rng):
         # both operators are diagonal; at r = s their product is sqrt(1-s) I
-        rho = random_density(rng, 1)
+        rho = random_density(rng, 1).matrix
         s = 0.6
-        mid, _ = apply_selective(rho, weak_op(FORWARD_NULL, s), 0)
-        out, _ = apply_selective(mid, weak_op(REVERSE, s), 0)
-        assert_allclose(out.matrix, (1 - s) * rho.matrix, atol=1e-14)
+        mid = post_select(rho, weak_op(FORWARD_NULL, s), [0], 1)
+        out = post_select(mid, weak_op(REVERSE, s), [0], 1)
+        assert_allclose(out, (1 - s) * rho, atol=1e-14)
 
 
 class TestValidateCptp:

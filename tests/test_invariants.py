@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import partial_trace_oracle, withheld_oracle
 from qss_sim.analysis import sp2
 from qss_sim.channels import apply_channel
 from qss_sim.cli import main
-from qss_sim.linalg import partial_trace
 from qss_sim.protocol import (
     NoiseSpec,
     ProtocolConfig,
@@ -30,7 +30,6 @@ from qss_sim.protocol import (
     make_resource,
     run_protocol,
     success_probability,
-    withheld_outcome_state,
 )
 from qss_sim.sweeps import _params_read
 
@@ -111,9 +110,9 @@ def test_each_receiver_alone_sees_the_maximally_mixed_state(parties, data):
     shared = encode_secret(secret, make_resource(parties)).density()
     for qubit in cfg.transmitted_qubits:
         shared = apply_channel(shared, NoiseSpec("pdc", data.draw(unit)).channel(), qubit)
-    ensemble = withheld_outcome_state(shared, cfg)
+    ensemble = withheld_oracle(shared.matrix, cfg)
     for qubit in cfg.transmitted_qubits:
-        reduced = partial_trace(ensemble, [qubit]).matrix
+        reduced = partial_trace_oracle(ensemble, [qubit], cfg.num_qubits)
         assert np.max(np.abs(reduced - np.eye(2) / 2)) <= 1e-12
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_secret
-from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z, partial_trace
+from conftest import PROJECTORS, partial_trace_oracle, random_secret, withheld_oracle
+from qss_sim.channels import _apply_channel_matrix
+from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z
 from qss_sim.protocol import (
     CORRECTION_TABLE,
     NoiseSpec,
@@ -17,12 +18,10 @@ from qss_sim.protocol import (
     correction,
     encode_secret,
     make_resource,
-    measure_projective,
     run_iteration,
     run_protocol,
     start_chain,
     success_probability,
-    withheld_outcome_state,
 )
 
 
@@ -116,38 +115,34 @@ class TestEncodeSecret:
         encode_secret(Secret.from_k(0.5), rotated(1e-11))
 
 
-class TestMeasureProjective:
-    def test_zero_one_projection(self):
-        from qss_sim.linalg import DensityMatrix
+def project(mat, qubit, basis, m):
+    """Unnormalized state after each outcome of measuring one qubit, by label."""
+    return {o: _apply_channel_matrix(mat, (p,), qubit, m) for o, p in PROJECTORS[basis].items()}
 
-        rho = DensityMatrix(np.diag([1.0, 0.0]))
-        records = measure_projective(rho, 0, "computational")
-        assert records[0].outcome == "0" and records[0].probability == pytest.approx(1.0)
-        assert records[1].probability == 0.0 and records[1].state is None
 
+def trace(mat):
+    return float(mat.trace().real)
+
+
+class TestProjectiveMeasurement:
     def test_dealer_outcomes_balanced(self):
-        rho = encode_secret(Secret.from_k(0.3), make_resource(2)).density()
-        records = measure_projective(rho, 1, "computational")
-        assert [r.probability for r in records] == pytest.approx([0.5, 0.5], abs=1e-12)
+        rho = encode_secret(Secret.from_k(0.3), make_resource(2)).density().matrix
+        probs = [trace(b) for b in project(rho, 1, "computational", 3).values()]
+        assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_all_four_branches_quarter(self):
-        rho = encode_secret(Secret.from_k(0.3), make_resource(2)).density()
+        rho = encode_secret(Secret.from_k(0.3), make_resource(2)).density().matrix
         probs = []
-        for rec_a in measure_projective(rho, 1, "computational"):
-            for rec_c in measure_projective(rec_a.state, 0, "hadamard"):
-                probs.append(rec_c.probability)
+        for rho_a in project(rho, 1, "computational", 3).values():
+            for rho_c in project(rho_a, 0, "hadamard", 3).values():
+                probs.append(trace(rho_c))
         assert probs == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_probabilities_sum_to_trace(self):
-        rho = encode_secret(Secret.from_k(0.7), make_resource(2)).density()
+        rho = encode_secret(Secret.from_k(0.7), make_resource(2)).density().matrix
         for basis in ("computational", "hadamard"):
-            records = measure_projective(rho, 2, basis)
-            assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_basis(self):
-        rho = encode_secret(Secret.from_k(0.5), make_resource(2)).density()
-        with pytest.raises(ValueError):
-            measure_projective(rho, 0, "diagonal")
+            branches = project(rho, 2, basis, 3).values()
+            assert sum(trace(b) for b in branches) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCorrection:
@@ -286,16 +281,16 @@ class TestRunIteration:
         from qss_sim.channels import adc, apply_channel
 
         rho = encode_secret(secret, make_resource(2)).density()
-        rho = apply_channel(apply_channel(rho, adc(0.4), 0), adc(0.4), 2)
+        rho = apply_channel(apply_channel(rho, adc(0.4), 0), adc(0.4), 2).matrix
         first_alice = {}
-        for rec_a in measure_projective(rho, 1, "computational"):
-            for rec_c in measure_projective(rec_a.state, 0, "hadamard"):
-                first_alice[(rec_a.outcome, rec_c.outcome)] = rec_c
-        for rec_c in measure_projective(rho, 0, "hadamard"):
-            for rec_a in measure_projective(rec_c.state, 1, "computational"):
-                other = first_alice[(rec_a.outcome, rec_c.outcome)]
-                assert rec_a.probability == pytest.approx(other.probability, abs=1e-12)
-                assert_allclose(rec_a.state.matrix, other.state.matrix, atol=1e-12)
+        for a, rho_a in project(rho, 1, "computational", 3).items():
+            for c, rho_c in project(rho_a, 0, "hadamard", 3).items():
+                first_alice[(a, c)] = rho_c
+        for c, rho_c in project(rho, 0, "hadamard", 3).items():
+            for a, rho_a in project(rho_c, 1, "computational", 3).items():
+                other = first_alice[(a, c)]
+                assert trace(rho_a) == pytest.approx(trace(other), abs=1e-12)
+                assert_allclose(rho_a, other, atol=1e-12)
 
 
 class TestSecrecy:
@@ -304,10 +299,10 @@ class TestSecrecy:
             secret = Secret.from_k(0.3)
             cfg = ProtocolConfig(parties=n, secrets=(secret,))
             shared = encode_secret(secret, make_resource(n)).density()
-            ensemble = withheld_outcome_state(shared, cfg)
+            ensemble = withheld_oracle(shared.matrix, cfg)
             for qubit in (0,) + tuple(range(2, n + 1)):
-                reduced = partial_trace(ensemble, [qubit])
-                assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+                reduced = partial_trace_oracle(ensemble, [qubit], cfg.num_qubits)
+                assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
 
 class TestSequentialRuns:
@@ -323,7 +318,7 @@ class TestSequentialRuns:
         s1, s2 = Secret.from_k(0.25), Secret.from_k(0.65)
         cfg1 = ProtocolConfig(parties=2, secrets=(s1,), channel=NoiseSpec("adc", 0.9))
         cfg2 = ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.3))
-        state, _ = start_chain(cfg1, s1)
+        state, _ = start_chain(cfg1)
         _, chained = advance(state, s2, cfg2)
         single = run_iteration(cfg2, s2)
         by_branch = {(r.alice_outcome, r.collaborator_outcomes): r for r in single}
@@ -342,7 +337,7 @@ class TestSequentialRuns:
             channel=NoiseSpec("adc", 0.4),
             return_channel=NoiseSpec("adc", 0.8),
         )
-        state, _ = start_chain(cfg1, s1)
+        state, _ = start_chain(cfg1)
         _, chained = advance(state, s2, cfg2)
         single = run_iteration(
             ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.4)), s2
@@ -369,7 +364,7 @@ class TestSequentialRuns:
     def test_advance_updates_state(self):
         secrets = (Secret.from_k(0.3), Secret.from_k(0.6), Secret.from_k(0.9))
         cfg = ProtocolConfig(parties=2, secrets=(secrets[0],))
-        state, _ = start_chain(cfg, secrets[0])
+        state, _ = start_chain(cfg)
         for i, secret in enumerate(secrets[1:], start=1):
             nxt = ProtocolConfig(parties=2, secrets=(secret,))
             state, reports = advance(state, secret, nxt)
