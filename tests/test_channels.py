@@ -182,6 +182,13 @@ class TestPostSelection:
         rho = post_select(rho, weak_op(REVERSE, r), (0, 2), 3)
         assert rho.trace().real == pytest.approx(sp2(k, s, r, p), abs=1e-12)
 
+    def test_zero_probability_branch(self):
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        out = post_select(ground, weak_op(FORWARD_CLICK, 0.8), [0], 1)
+        assert out.tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
+        with pytest.raises(ValueError):
+            DensityMatrix(out)  # a zero-trace branch is not a state
+
     def test_reverse_after_forward_null_rescales_when_strengths_match(self, rng):
         # both operators are diagonal; at r = s their product is sqrt(1-s) I
         rho = random_density(rng, 1).matrix

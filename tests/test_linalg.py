@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import embed_oracle, random_density
+from conftest import embed_oracle, random_density, random_secret
 from qss_sim.channels import adc, pdc, weak_op
 from qss_sim.linalg import (
     ID2,
@@ -10,11 +10,12 @@ from qss_sim.linalg import (
     PAULI_X,
     DensityMatrix,
     PureState,
+    _qubit_fidelity,
     dagger,
     embed,
     su2,
 )
-from qss_sim.protocol import NoiseSpec, ProtocolConfig, Secret, run_iteration
+from qss_sim.protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, run_iteration
 
 
 class TestTensor:
@@ -82,6 +83,49 @@ class TestLargestEigenvalue:
             0.8, abs=1e-12
         )
 
+    def test_noiseless_branch_states_are_pure(self):
+        for parties in (2, 3):
+            secret = Secret.from_k(0.35)
+            cfg = ProtocolConfig(parties=parties, secrets=(secret,))
+            for report in run_iteration(cfg, secret):
+                eigs = np.linalg.eigvalsh(report.reconstructed_state.matrix)
+                assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+                assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_fidelity_never_exceeds_largest_eigenvalue(self):
+        secret = Secret.from_k(0.6)
+        for kind in ("adc", "pdc"):
+            for wmrqm in (None, Wmrqm(0.3, 0.5)):
+                cfg = ProtocolConfig(
+                    parties=2, secrets=(secret,), channel=NoiseSpec(kind, 0.7), wmrqm=wmrqm
+                )
+                for report in run_iteration(cfg, secret):
+                    if report.reconstructed_state is None:
+                        continue
+                    largest = np.linalg.eigvalsh(report.reconstructed_state.matrix)[-1]
+                    assert report.fidelity <= largest + 1e-12
+
+
+class TestQubitFidelity:
+    def test_own_state(self):
+        v = Secret.from_k(0.7).vector()
+        assert _qubit_fidelity(v, np.outer(v, v.conj())) == pytest.approx(1.0)
+
+    def test_maximally_mixed(self):
+        v = Secret.from_k(0.2).vector()
+        assert _qubit_fidelity(v, np.eye(2) / 2) == pytest.approx(0.5)
+
+    def test_classical_overlap(self):
+        v = Secret.from_k(0.8).vector()
+        assert _qubit_fidelity(v, np.diag([0.8, 0.2])) == pytest.approx(0.68)
+
+    def test_matches_matrix_product(self, rng):
+        for _ in range(20):
+            v = random_secret(rng).vector()
+            mat = random_density(rng, 1).matrix
+            expected = np.vdot(v, mat @ v).real
+            assert _qubit_fidelity(v, mat) == pytest.approx(expected, abs=1e-14)
+
 
 class TestSu2:
     def test_identity(self):
@@ -123,6 +167,14 @@ class TestStateTypes:
             DensityMatrix(np.eye(2))  # trace 2
         sub = DensityMatrix(np.diag([0.2, 0.1]))  # sub-normalized is fine
         assert sub.trace == pytest.approx(0.3)
+
+    def test_register_dimension_enforced(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.eye(3) / 3)  # not a power of two
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 4), 0.125))  # not square
+        with pytest.raises(ValueError):
+            PureState(np.ones(3) / np.sqrt(3))
 
     def test_immutability(self, rng):
         rho = random_density(rng, 1)

@@ -8,6 +8,7 @@ from conftest import PROJECTORS, partial_trace_oracle, random_secret, withheld_o
 from qss_sim.channels import _apply_channel_matrix
 from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z
 from qss_sim.protocol import (
+    _BASIS_PROJECTORS,
     CORRECTION_TABLE,
     NoiseSpec,
     ProtocolConfig,
@@ -125,6 +126,21 @@ def trace(mat):
 
 
 class TestProjectiveMeasurement:
+    def test_zero_one_projection(self):
+        branches = project(np.diag([1.0, 0.0]).astype(complex), 0, "computational", 1)
+        assert list(branches) == ["0", "1"]
+        assert trace(branches["0"]) == pytest.approx(1.0)
+        assert trace(branches["1"]) == 0.0
+        assert not branches["1"].any()
+
+    def test_basis_projectors_match_kets(self):
+        for basis, expected in PROJECTORS.items():
+            table = _BASIS_PROJECTORS[basis]
+            assert [label for label, _ in table] == list(expected)
+            for label, proj in table:
+                assert_allclose(proj, expected[label], rtol=0, atol=1e-15)
+            assert_allclose(sum(p for _, p in table), np.eye(2), rtol=0, atol=1e-15)
+
     def test_dealer_outcomes_balanced(self):
         rho = encode_secret(Secret.from_k(0.3), make_resource(2)).density().matrix
         probs = [trace(b) for b in project(rho, 1, "computational", 3).values()]
