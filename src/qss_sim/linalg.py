@@ -20,6 +20,7 @@ under another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,18 +69,43 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _qubit_fidelity(v: np.ndarray, mat: np.ndarray) -> float:
-    """``Re <v|mat|v>`` for a qubit vector and a 2x2 matrix, written out
-    elementwise: a BLAS product rounds differently on FMA and non-FMA kernels."""
-    row = np.conj(v[0]) * mat[0] + np.conj(v[1]) * mat[1]
-    return float((row[0] * v[0] + row[1] * v[1]).real)
+def _qubit_fidelity(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``Re <v|mat|v>`` for qubit vectors ``(..., 2)`` and 2x2 matrices
+    ``(..., 2, 2)``, written out elementwise: a BLAS product rounds
+    differently on FMA and non-FMA kernels. The last two products keep only
+    their real parts, written as ``re * re - im * im``: numpy's complex
+    array multiply may fuse one product into that subtraction, its complex
+    scalar multiply does not, and every entry of a stack gets the scalar
+    formula's bits."""
+    row = np.conj(v[..., 0, None]) * mat[..., 0, :] + np.conj(v[..., 1, None]) * mat[..., 1, :]
+    r0, r1, v0, v1 = row[..., 0], row[..., 1], v[..., 0], v[..., 1]
+    return (r0.real * v0.real - r0.imag * v0.imag) + (r1.real * v1.real - r1.imag * v1.imag)
+
+
+def _check_norms(norm2: np.ndarray) -> None:
+    """Refuse any squared norm that is not 1 within ``ATOL``; ``nan`` (a
+    non-finite amplitude) is refused too."""
+    norm2 = np.asarray(norm2)
+    bad = ~(np.abs(norm2 - 1.0) <= ATOL)
+    if bad.any():
+        raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2[bad][0]}")
+
+
+def _min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, read from its lower
+    triangle as ``eigvalsh`` reads it. A 2x2 one has the closed form
+    ``(a+d)/2 - hypot((a-d)/2, |b|)``, within a few ``eps * |M|`` of
+    ``eigvalsh``; larger ones use ``eigvalsh``."""
+    if mat.shape == (2, 2):
+        (a, _), (b, d) = mat.tolist()
+        return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+    return float(np.linalg.eigvalsh(mat)[0])
 
 
 def _num_qubits(dim: int) -> int:
-    m = int(round(np.log2(dim)))
-    if 2**m != dim:
+    if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
-    return m
+    return dim.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -92,9 +118,7 @@ class PureState:
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).ravel())
         object.__setattr__(self, "amplitudes", amps)
         _num_qubits(amps.size)
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > ATOL:
-            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
+        _check_norms(np.vdot(amps, amps).real)
 
     @property
     def num_qubits(self) -> int:
@@ -112,7 +136,12 @@ class DensityMatrix:
     The trace may be below one: a post-selected branch state is
     sub-normalized, and its trace is the branch probability. A trace of
     zero is not representable; zero-probability branches must be handled by
-    the caller before constructing a state.
+    the caller before constructing a state. Every entry must be finite.
+
+    Positivity is checked on the smallest eigenvalue, to ``-ATOL``. For a
+    2x2 matrix (every branch state the simulator reports) that is the
+    closed form ``(a+d)/2 - hypot((a-d)/2, |b|)``; larger matrices use
+    ``eigvalsh``.
     """
 
     matrix: np.ndarray
@@ -123,12 +152,14 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         _num_qubits(mat.shape[0])
-        herm = float(np.max(np.abs(mat - dagger(mat))))
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
+        herm = float(np.abs(mat - dagger(mat)).max())
         if herm > ATOL:
             raise ValueError(f"matrix is not Hermitian: residual {herm}")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -ATOL:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {eigs[0]}")
+        lo = _min_eigenvalue(mat)
+        if not lo >= -ATOL:
+            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo}")
         tr = float(mat.trace().real)
         if not 0.0 < tr <= 1.0 + ATOL:
             raise ValueError(f"trace must lie in (0, 1], got {tr}")

@@ -58,6 +58,7 @@ from .linalg import (
     PAULI_Z,
     DensityMatrix,
     PureState,
+    _check_norms,
     _qubit_fidelity,
     dagger,
     embed,
@@ -347,17 +348,21 @@ def encode_secret(secret: Secret, resource: PureState) -> PureState:
     between it and the dealer's qubit (position 1) produces the shared
     (n+1)-qubit state.
     """
-    return _encode_secrets([secret], resource)[0]
+    return PureState(_encoded_amplitudes([secret], resource)[0])
 
 
-def _encode_secrets(secrets: Sequence[Secret], resource: PureState) -> list[PureState]:
-    """``encode_secret`` of each secret: the resource is checked, and the
-    XOR built, once for all of them."""
+def _encoded_amplitudes(secrets: Sequence[Secret], resource: PureState) -> np.ndarray:
+    """``encode_secret`` of each secret, as a ``(batch, 2^(n+1))`` stack of
+    amplitudes: the resource is checked, the Kronecker products formed by
+    broadcasting, the XOR applied by one matmul and every norm checked, once
+    for all of them."""
     n = resource.num_qubits
     if not np.allclose(resource.amplitudes, _ghz(n), rtol=0.0, atol=ATOL):
         raise ValueError("resource is not the GHZ state produced by make_resource")
-    cnot = _cnot(0, 1, n + 1)
-    return [PureState(cnot @ np.kron(s.vector(), resource.amplitudes)) for s in secrets]
+    vecs = np.array([s.vector() for s in secrets]).reshape(-1, 2, 1)
+    amps = (_cnot(0, 1, n + 1) @ (vecs * resource.amplitudes).reshape(len(secrets), -1, 1))[..., 0]
+    _check_norms(np.einsum("bi,bi->b", amps.conj(), amps).real)
+    return amps
 
 
 _BASIS_PROJECTORS = {
@@ -402,7 +407,7 @@ def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: t
 def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
     """Stack of ``|psi><psi|``, one per secret encoded on a fresh n-qubit
     resource; each is the elementwise ``np.outer`` of its amplitudes."""
-    amps = np.array([s.amplitudes for s in _encode_secrets(secrets, make_resource(n))])
+    amps = _encoded_amplitudes(secrets, make_resource(n))
     return amps[:, :, None] * amps.conj()[:, None, :]
 
 
@@ -420,10 +425,11 @@ def _execute_iteration(
     all of the first secret's branches, then the second's, and so on.
 
     The registers of all secrets form one stack, so each operator and
-    projection is one call over the stack; every register gets the
-    arithmetic it would get alone, and the per-branch tail (trace,
-    normalisation, correction, fidelity) runs per secret as for one. Each
-    leaf's correction is looked up once, for every secret.
+    projection is one call over the stack. The tail is one call over every
+    leaf of every secret: the traces, then the normalisation, correction
+    and fidelity of the live branches. Every register gets the arithmetic
+    it would get alone; only the reports are built one by one, and each
+    live one checks its state through the ``DensityMatrix`` constructor.
 
     ``_project_branches`` walks the measurements depth-first, so branches
     that agree on their first d outcomes share one projected register, and
@@ -456,33 +462,38 @@ def _execute_iteration(
         for q in transmitted:
             rho = _apply_channel_matrix(rho, (rev,), q, m)
 
-    reports: list[IterationReport] = []
-    chain: list[tuple[float, tuple[str, ...]]] = []
-    helper_scale = 2.0 ** len(cfg.collaborator_qubits)
-    leaves = []
+    leaves, branches = [], []
     for labels, branch in _project_branches(rho, _measurements(cfg), m):
         a, outcomes = int(labels[0]), labels[1:]
-        key = _correction_key(a, outcomes)
-        u = CORRECTION_TABLE[key]
-        leaves.append((a, outcomes, branch, u, dagger(u), _CORRECTION_LABELS[key]))
-    for index, secret in enumerate(secrets):
-        secret_vec = secret.vector()
-        for a, outcomes, branch, u, u_dagger, label in leaves:
-            bob = branch[index] * helper_scale
-            prob = float(bob.trace().real)
-            if prob <= ZERO_BRANCH_ATOL:
-                state, fid, weight = None, None, 0.0
-            else:
-                fixed = u @ (bob / prob) @ u_dagger
-                fid = _qubit_fidelity(secret_vec, fixed)
-                state, weight = DensityMatrix(fixed), prob * scale
+        leaves.append((a, outcomes, _correction_key(a, outcomes)))
+        branches.append(branch)
+    # Every secret's every leaf at once, secret-major: (secret, leaf, 2, 2).
+    bob = np.stack(branches, axis=1) * 2.0 ** len(cfg.collaborator_qubits)
+    probs = (bob[..., 0, 0] + bob[..., 1, 1]).real
+    # A nan probability counts as live, so that its state is refused.
+    secret_idx, leaf_idx = np.nonzero(~(probs <= ZERO_BRANCH_ATOL))
+    u = np.array([CORRECTION_TABLE[key] for _, _, key in leaves])[leaf_idx]
+    live_probs = probs[secret_idx, leaf_idx]
+    fixed = u @ (bob[secret_idx, leaf_idx] / live_probs[:, None, None]) @ u.conj().transpose(0, 2, 1)
+    secret_vecs = np.array([s.vector() for s in secrets])
+    fids = _qubit_fidelity(secret_vecs[secret_idx], fixed).tolist()
+    # (state, fidelity, weight) per secret and leaf; a zero branch carries none.
+    rows = [[(None, None, 0.0)] * len(leaves) for _ in secrets]
+    for i, j, mat, fid, prob in zip(secret_idx.tolist(), leaf_idx.tolist(), fixed, fids, live_probs.tolist()):
+        rows[i][j] = (DensityMatrix(mat), fid, prob * scale)
+
+    reports: list[IterationReport] = []
+    chain: list[tuple[float, tuple[str, ...]]] = []
+    for row in rows:
+        for (a, outcomes, key), (state, fid, weight) in zip(leaves, row):
+            if state is not None:
                 chain.append((weight, outcomes))
             reports.append(
                 IterationReport(
                     iteration_index=iteration_index,
                     alice_outcome=a,
                     collaborator_outcomes=outcomes,
-                    correction_applied=label,
+                    correction_applied=_CORRECTION_LABELS[key],
                     reconstructed_state=state,
                     fidelity=fid,
                     branch_probability=weight,

@@ -7,8 +7,11 @@ the worst residual. These are the checks behind ``qss-sim validate``.
 
 A suite simulates its whole k-grid (or quadrature nodes) of one (channel,
 protection) configuration in one ``run_iterations`` call, on a stack of
-3-qubit registers, then walks its points in grid order, so residuals,
-worst points and the report bytes are those of one simulation per point.
+3-qubit registers: each operator, and each branch's trace, correction and
+fidelity, is one array operation over the stack, and only the branch
+reports are built per point. It then walks its points in grid order, so
+residuals, worst points and the report bytes are those of one simulation
+per point.
 
 Tolerances here are fixed per formula. The suites call each closed form
 they check through this module's own name for it (``validate.f_pd`` and so

@@ -28,6 +28,7 @@ entries may round in another order, so the two agree to 1e-12, not bitwise.
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -361,10 +362,25 @@ def test_run_iterations_keeps_zero_probability_branches_per_secret():
     cfg = ProtocolConfig(
         parties=3, secrets=batch[:1], channel=NoiseSpec("adc", 0.5), wmrqm=Wmrqm(0.3, 1.0)
     )
-    batched = run_iterations(cfg, batch)
+    with warnings.catch_warnings():
+        # the stacked tail divides only live branches, so no 0/0 is hidden by the mask
+        warnings.simplefilter("error", RuntimeWarning)
+        batched = run_iterations(cfg, batch)
     assert all(r.reconstructed_state is None for reports in batched for r in reports[4:])
     for reports, secret in zip(batched, batch):
         assert_bits_equal(reports, run_iteration(cfg, secret))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_branch_is_refused_not_dropped(monkeypatch):
+    """A nan branch probability is not below ``ZERO_BRANCH_ATOL``: the
+    branch stays live and its state is refused, instead of being reported
+    as a zero branch."""
+    cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.5),))
+    encoded = protocol._encoded_density
+    monkeypatch.setattr(protocol, "_encoded_density", lambda secrets, n: encoded(secrets, n) * np.nan)
+    with pytest.raises(ValueError, match="must be finite"):
+        run_iteration(cfg, cfg.secrets[0])
 
 
 def test_reset_that_misses_zero_is_loud(monkeypatch):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import embed_oracle, random_density, random_secret
@@ -10,12 +14,16 @@ from qss_sim.linalg import (
     PAULI_X,
     DensityMatrix,
     PureState,
+    _min_eigenvalue,
     _qubit_fidelity,
     dagger,
     embed,
     su2,
 )
 from qss_sim.protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, run_iteration
+from qss_sim.tolerances import ATOL
+
+EPS = np.finfo(float).eps
 
 
 class TestTensor:
@@ -127,6 +135,24 @@ class TestQubitFidelity:
             assert _qubit_fidelity(v, mat) == pytest.approx(expected, abs=1e-14)
 
 
+    def test_stack_matches_each_entry_alone(self, rng):
+        """A stacked call gives every entry the bits of a call on it alone,
+        and of the per-secret form whose last products are numpy complex
+        scalar multiplies, not a (possibly fused) array multiply."""
+
+        def scalar_form(v, mat):
+            row = np.conj(v[0]) * mat[0] + np.conj(v[1]) * mat[1]
+            return float((row[0] * v[0] + row[1] * v[1]).real)
+
+        vs = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
+        mats = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        stacked = _qubit_fidelity(vs, mats)
+        assert stacked.shape == (500,)
+        for v, mat, fid in zip(vs, mats, stacked.tolist()):
+            assert fid.hex() == float(_qubit_fidelity(v, mat)).hex()
+            assert fid.hex() == scalar_form(v, mat).hex()
+
+
 class TestSu2:
     def test_identity(self):
         assert_allclose(su2(0, 0, 0), np.eye(2))
@@ -168,6 +194,37 @@ class TestStateTypes:
         sub = DensityMatrix(np.diag([0.2, 0.1]))  # sub-normalized is fine
         assert sub.trace == pytest.approx(0.3)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.5, np.nan], [np.nan, 0.5]],
+            [[np.nan, 0.0], [0.0, 0.5]],
+            [[np.inf, 0.0], [0.0, 0.5]],
+            [[0.5, 1j * np.inf], [-1j * np.inf, 0.5]],
+        ],
+    )
+    def test_non_finite_density_matrix_rejected(self, entries):
+        # every check used to compare with ``>``, which nan never satisfies
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityMatrix(np.array(entries, dtype=complex))
+
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_pure_state_rejected(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array(amps, dtype=complex))
+
+    def test_empty_density_matrix_is_not_a_register(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dimension 0 is not a power of two"):
+                DensityMatrix(np.zeros((0, 0)))
+
+    def test_empty_pure_state_is_not_a_register(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dimension 0 is not a power of two"):
+                PureState(np.array([]))
+
     def test_register_dimension_enforced(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3) / 3)  # not a power of two
@@ -183,3 +240,59 @@ class TestStateTypes:
         psi = PureState(KET_PLUS)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 2.0
+
+
+def _hermitian(a, d, b):
+    return np.array([[a, np.conj(b)], [b, d]], dtype=complex)
+
+
+unit_float = st.floats(-2.0, 2.0)
+subnormal = st.sampled_from([5e-324, -5e-324, 2.5e-310, -1e-315, 0.0])
+
+
+@st.composite
+def two_by_two(draw):
+    """A Hermitian 2x2 matrix: general, diagonal, rank one, with a subnormal
+    off-diagonal, or with its smallest eigenvalue near ``-ATOL``."""
+    kind = draw(st.sampled_from(["general", "diagonal", "rank_one", "subnormal", "boundary"]))
+    if kind == "general":
+        return _hermitian(draw(unit_float), draw(unit_float), complex(draw(unit_float), draw(unit_float)))
+    if kind == "diagonal":
+        return _hermitian(draw(unit_float), draw(unit_float), 0.0)
+    if kind == "rank_one":
+        v = np.array([complex(draw(unit_float), draw(unit_float)) for _ in range(2)])
+        return np.outer(v, v.conj())
+    if kind == "subnormal":
+        b = complex(draw(subnormal), draw(subnormal))
+        return _hermitian(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), b)
+    # ``U diag(-ATOL + delta, l) U^dagger``, its off-diagonal read from one triangle
+    delta = draw(st.floats(-64.0, 64.0)) * EPS
+    theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
+    u = su2(theta, phi, -phi)
+    m = u @ np.diag([-ATOL + delta, draw(st.floats(1e-6, 1.0))]) @ dagger(u)
+    return _hermitian(m[0, 0].real, m[1, 1].real, m[1, 0])
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(mat=two_by_two())
+@example(mat=np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex))  # not Hermitian
+@example(mat=np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))  # not PSD
+@example(mat=np.eye(2, dtype=complex))  # trace 2
+def test_closed_form_min_eigenvalue_matches_eigvalsh(mat):
+    """The 2x2 closed form is within a few ``eps * |M|`` of ``eigvalsh``
+    (both read the lower triangle), and outside a band of that width
+    around ``-ATOL`` it accepts and refuses exactly what ``eigvalsh`` does,
+    in ``DensityMatrix`` too."""
+    band = 16 * EPS * np.abs(mat).max()  # 8 eps times a bound on |M|_2 that cannot underflow
+    lo, ref = _min_eigenvalue(mat), float(np.linalg.eigvalsh(mat)[0])
+    assert abs(lo - ref) <= band
+    if abs(ref + ATOL) <= band:
+        return
+    assert (lo >= -ATOL) == (ref >= -ATOL)
+    hermitian = np.array_equal(mat, dagger(mat))
+    if hermitian and 0.0 < mat.trace().real <= 1.0 + ATOL:
+        if ref >= -ATOL:
+            DensityMatrix(mat)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                DensityMatrix(mat)

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from conftest import PROJECTORS, partial_trace_oracle, random_secret, withheld_oracle
 from qss_sim.channels import _apply_channel_matrix
-from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z
+from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z, embed
 from qss_sim.protocol import (
     _BASIS_PROJECTORS,
+    _encoded_amplitudes,
     CORRECTION_TABLE,
     NoiseSpec,
     ProtocolConfig,
@@ -94,6 +95,20 @@ class TestEncodeSecret:
         for label in range(16):
             expected = weights.get(label, 0.0) / np.sqrt(2)
             assert amps[label] == pytest.approx(expected, abs=1e-15)
+
+    def test_stack_matches_kron_then_xor(self, rng):
+        """The stacked encoding gives each secret the bytes of ``CNOT @
+        np.kron(secret, resource)``, and ``encode_secret`` is its one-secret
+        case."""
+        for n in (2, 3, 7):
+            resource = make_resource(n)
+            cnot = embed(np.eye(4)[[0, 1, 3, 2]], [0, 1], n + 1)
+            batch = [random_secret(rng) for _ in range(5)] + [Secret(5e-324, 1.0)]
+            amps = _encoded_amplitudes(batch, resource)
+            for row, secret in zip(amps, batch):
+                expected = cnot @ np.kron(secret.vector(), resource.amplitudes)
+                assert row.tobytes() == expected.tobytes()
+                assert encode_secret(secret, resource).amplitudes.tobytes() == expected.tobytes()
 
     def test_malformed_resource_rejected(self):
         from qss_sim.linalg import PureState
