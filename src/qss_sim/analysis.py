@@ -264,16 +264,15 @@ def _region_domain(p: float, s: float) -> tuple[float, float]:
 def _region_average(p: float, s: float, form: Callable[..., float]) -> float:
     """Integral of ``form(k, s, r_opt(k, s, p), p)`` over the optimality
     region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure.
-    The integrand takes each batch of quadrature nodes as one array."""
+    One adaptive call over both pieces: one integrand call unless a panel
+    refines."""
     p, s = _region_domain(p, s)
     lower, split = region_bounds(p, s)
 
     def integrand(k: np.ndarray) -> np.ndarray:
         return form(k, s, r_opt(k, s, p), p)
 
-    return adaptive_gauss_legendre(integrand, lower, split, tol=1e-11) + adaptive_gauss_legendre(
-        integrand, split, 1.0, tol=1e-11
-    )
+    return adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11)
 
 
 def avg_f_opt0(p: float, s: float) -> float:

@@ -3,18 +3,22 @@
 64 nodes integrate the smooth rational/algebraic integrands appearing here
 to well below 1e-9. Integrands that involve the optimal reversal strength
 are only piecewise smooth near the region boundary, so an adaptive
-bisection wrapper is provided for them.
+bisection wrapper, which takes breakpoints, is provided for them.
 
 Integrands take an array: ``f`` receives every node of every panel in one
 call and returns their values elementwise, so a batch of panels costs one
 integrand evaluation. Each panel's weighted sum is taken left to right
 from ``0.0``, node by node, which is the order of a scalar loop over the
-nodes; batching therefore never changes a result's bytes.
+nodes; batching therefore never changes a result's bytes. Non-finite
+ends raise ``ValueError``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+import operator
+from functools import lru_cache, reduce
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +50,8 @@ def gauss_legendre(
     """
     x, w = _nodes(n)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"ends must be finite, got {a}, {b}")
         if b <= a:
             return 0.0
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -53,6 +59,8 @@ def gauss_legendre(
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError(f"panel ends must be equal-length sequences, not {lo.shape}, {hi.shape}")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"ends must be finite, got {a}, {b}")
     out = np.zeros(lo.shape)
     live = hi > lo
     if live.any():
@@ -72,19 +80,24 @@ def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def adaptive_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    *points: float,
     tol: float = 1e-10,
     n: int = 64,
     max_depth: int = 12,
 ) -> float:
-    """Bisection-refined Gauss-Legendre integral.
+    """Bisection-refined Gauss-Legendre integral over the pieces
+    ``[points[i], points[i + 1]]``, added left to right with ``+``.
 
     Each panel is accepted when halving it changes the estimate by less
-    than its share of ``tol``. The whole interval and its two halves come
-    from one three-panel call of ``f``; each deeper level costs one
-    two-panel call per refined panel.
+    than its share of ``tol`` (each piece has all of it). The whole, left
+    and right panels of every non-empty piece come from one call of ``f``;
+    each deeper level costs one two-panel call per refined panel. An empty
+    or reversed piece adds ``0.0``.
     """
+    if len(points) < 2 or not all(map(math.isfinite, points)):
+        raise ValueError(f"need two or more finite points, got {points}")
+    if not (0.0 < tol < math.inf and n >= 1):
+        raise ValueError(f"need a finite tol > 0 and n >= 1, got {tol}, {n}")
 
     def settle(lo: float, hi: float, whole: float, left: float, right: float,
                budget: float, depth: int) -> float:
@@ -100,8 +113,10 @@ def adaptive_gauss_legendre(
         left, right = gauss_legendre(f, (lo, mid), (mid, hi), n)
         return settle(lo, hi, whole, left, right, budget, depth)
 
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    whole, left, right = gauss_legendre(f, (a, a, mid), (b, mid, b), n)
-    return settle(a, b, whole, left, right, tol, 0)
+    pieces = list(zip(points, points[1:]))
+    live = [(a, 0.5 * (a + b), b) for a, b in pieces if b > a]
+    lo = [end for a, mid, b in live for end in (a, a, mid)]
+    hi = [end for a, mid, b in live for end in (b, mid, b)]
+    estimates = iter(gauss_legendre(f, lo, hi, n))
+    totals = [settle(a, b, *islice(estimates, 3), tol, 0) if b > a else 0.0 for a, b in pieces]
+    return reduce(operator.add, totals)

@@ -9,8 +9,10 @@ calls element by element.
 """
 
 import math
+import operator
 import sys
 import warnings
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss_sim import protocol, validate
+from qss_sim import analysis, protocol, validate
 from qss_sim.analysis import (
     DomainError,
     avg_f_opt0,
@@ -77,6 +79,13 @@ def oracle_region_average(p, s, form):
 def rational(x):
     """Elementwise on floats and arrays alike: only + - * /, each rounded once."""
     return (1.0 + 2.0 * x) / (3.0 + x * x) - 0.5 * x
+
+
+def negative_subnormal(x):
+    """-5e-324 everywhere. With n = 5 only the middle weight, 0.569, keeps
+    its term from rounding to -0.0, so each panel's sum is -5e-324, and on
+    a panel narrower than 1 the half-width below 0.5 rounds it to -0.0."""
+    return np.full_like(x, -5e-324)
 
 
 orders = st.sampled_from([5, 21, 33, 64])
@@ -160,7 +169,107 @@ class TestBatchedAdaptive:
         assert set(shapes[1:]) == {(2, 64)}
 
 
-GRID = list(product((0.1, 0.5, 0.9), (0.0, 0.3, 0.8)))
+def _never(x):
+    raise AssertionError("integrand called")
+
+
+# A piece is empty (0.0), reversed (negative) or forward; forward pieces stay
+# narrower than 1 so that ``negative_subnormal`` integrates to -0.0 on them.
+piece_widths = st.one_of(st.just(0.0), st.floats(-0.5, -1e-3), st.floats(1e-3, 0.9))
+
+
+class TestBreakpoints:
+    @examples
+    @given(
+        start=ends,
+        widths=st.lists(piece_widths, min_size=2, max_size=4),
+        kink=st.floats(-2.0, 4.0),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+        n=st.sampled_from([5, 21, 64]),
+        signed_zero=st.booleans(),
+    )
+    def test_equals_the_left_to_right_sum_of_the_pieces(
+        self, start, widths, kink, tol, n, signed_zero
+    ):
+        points = [start]
+        for width in widths:
+            points.append(points[-1] + width)
+        if signed_zero:
+            f, n = negative_subnormal, 5
+        else:
+            # Only the pieces around the kink refine.
+            def f(x):
+                return abs(x - kink) * rational(x)
+
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return f(x)
+
+        options = dict(tol=tol, n=n, max_depth=8)
+        got = adaptive_gauss_legendre(counted, *points, **options)
+        pieces = [adaptive_gauss_legendre(f, a, b, **options) for a, b in zip(points, points[1:])]
+        assert got.hex() == reduce(operator.add, pieces).hex()
+        live = sum(b > a for a, b in zip(points, points[1:]))
+        assert shapes[:1] == ([(3 * live, n)] if live else [])
+
+    def test_negative_zero_pieces_add_up_left_to_right(self):
+        assert adaptive_gauss_legendre(negative_subnormal, 0.0, 0.5, 0.9, n=5).hex() == "-0x0.0p+0"
+        # An empty piece adds 0.0 in its place, and -0.0 + 0.0 is 0.0.
+        assert adaptive_gauss_legendre(negative_subnormal, 0.0, 0.5, 0.5, 0.9, n=5).hex() == "0x0.0p+0"
+        # Builtin sum starts from int 0, which would lose the sign.
+        assert sum([-0.0, -0.0]).hex() == "0x0.0p+0"
+
+    def test_smooth_two_piece_integrand_costs_one_six_panel_call(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return rational(x)
+
+        adaptive_gauss_legendre(f, 0.0, 0.4, 1.0)
+        assert shapes == [(6, 64)]
+
+    def test_all_pieces_empty_is_zero_without_a_call(self):
+        assert adaptive_gauss_legendre(_never, 1.0, 0.5) == 0.0
+        assert adaptive_gauss_legendre(_never, 0.5, 0.5, 0.2) == 0.0
+
+
+class TestInvalidInputFailsEarly:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            adaptive_gauss_legendre(_never, 0.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_at_least_one_node(self, n):
+        with pytest.raises(ValueError):
+            gauss_legendre(_never, 0.0, 1.0, n=n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            adaptive_gauss_legendre(_never, 0.0, 1.0, n=n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            adaptive_gauss_legendre(_never, 1.0, 0.5, n=n)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bounds_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            gauss_legendre(_never, 0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            gauss_legendre(_never, [0.0, bad], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_gauss_legendre(_never, 0.0, bad)
+        # A breakpoint is checked as well as the ends.
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_gauss_legendre(_never, 0.0, bad, 1.0)
+
+    def test_two_points_at_least(self):
+        with pytest.raises(ValueError, match="two or more"):
+            adaptive_gauss_legendre(_never, 0.0)
+
+
+# Interior points plus the corners of the fig3/fig4 axes.
+GRID = list(product((0.02, 0.1, 0.5, 0.9, 0.98), (0.0, 0.3, 0.8, 0.9)))
 
 
 class TestOptimalReversalAverages:
@@ -171,6 +280,18 @@ class TestOptimalReversalAverages:
     @pytest.mark.parametrize("p, s", GRID)
     def test_avg_success_opt0_equals_the_per_node_path(self, p, s):
         assert avg_success_opt0(p, s) == oracle_region_average(p, s, sp2)
+
+    @pytest.mark.parametrize("average", [avg_f_opt0, avg_success_opt0])
+    def test_one_integrand_call_per_average(self, average, monkeypatch):
+        shapes = []
+
+        def counted(k, s, p):
+            shapes.append(np.shape(k))
+            return r_opt(k, s, p)
+
+        monkeypatch.setattr(analysis, "r_opt", counted)
+        average(0.5, 0.3)
+        assert shapes == [(6, 64)]
 
 
 def _region_points(count, seed):
