@@ -70,11 +70,16 @@ FloatOrArray = float | np.ndarray
 
 def _unit(value: FloatOrArray, name: str) -> FloatOrArray:
     """``value`` as a float, or as a float array, once every element is
-    checked to lie in ``[0, 1]`` (``nan`` fails)."""
+    checked to lie in ``[0, 1]`` (``nan`` fails); a complex or object value
+    is refused, since a cast would drop its imaginary part."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "biuf":
+            raise DomainError(f"{name} must be real, got an array of dtype {value.dtype}")
         value = value.astype(float, copy=False)
         _require((0.0 <= value) & (value <= 1.0), f"{name} must lie in [0, 1], got {{}}", value)
         return value
+    if isinstance(value, np.complexfloating):
+        raise DomainError(f"{name} must be real, got {value}")
     value = float(value)
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value}")

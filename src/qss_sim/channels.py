@@ -111,23 +111,30 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
 
     The one place a single-qubit operation meets the register, branch walk
     included. Each term acts on the qubit's tensor axis at O(4^m), not
-    O(8^m): row slice ``i`` of ``E mat`` is ``E[i,0] X_0 + E[i,1] X_1``,
-    then the same on the columns with ``conj(E)``. For real ``E`` these
-    round as a dense ``embed(E) @ mat @ embed(E)^dag`` does without fused
-    multiply-add. Preallocated buffers keep page faults down at 8 qubits.
+    O(8^m): ``E X = d X + a flip(X)`` on the row slices, ``d = (E00, E11)``,
+    ``a = (E01, E10)``, then the same on the columns with ``conj(E)``. A
+    half with both entries zero is left out (one multiply for a diagonal
+    ``E``); against the full sum only an intermediate zero's sign can
+    differ. For real ``E`` this rounds as a dense ``embed(E) @ mat @
+    embed(E)^dag`` does without fused multiply-add.
 
     ``mat`` may also be a ``(..., 2^m, 2^m)`` stack of registers: every
     register gets the same elementwise arithmetic, so each result has the
     bytes it would have on its own.
     """
     rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)  # axis 1: the qubit's row bit
-    half, part, out = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
+    half, out, part = np.empty_like(rows), np.empty_like(mat), None
     cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))  # axis 1: its column bit
     for n, e in enumerate(operators):
         term = np.empty_like(cols) if n else out.reshape(cols.shape)
         for src, op, dst in ((rows, e, half), (cols, e.conj(), term)):
-            np.multiply(op[:, :1], src[:, :1], out=dst)  # dst[:, i] = op[i, 0] src[:, 0]
-            dst += np.multiply(op[:, 1:], src[:, 1:], out=part.reshape(dst.shape))
+            # (coefficients, slice step): d on X, a on flip(X); a zero half is left out unless both are
+            halves = [(c, step) for c, step in ((op.diagonal(), 1), (op[:, ::-1].diagonal(), -1)) if c.any()]
+            (c, step), *rest = halves or [(op.diagonal(), 1)]
+            np.multiply(c[:, None], src[:, ::step], out=dst)
+            for c, step in rest:
+                part = np.empty_like(mat) if part is None else part
+                dst += np.multiply(c[:, None], src[:, ::step], out=part.reshape(dst.shape))
         if n:
             out += term.reshape(out.shape)
     return out

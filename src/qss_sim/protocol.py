@@ -33,7 +33,7 @@ sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,10 +100,11 @@ MAX_PARTIES = 7
 MAX_ITERATIONS = 1000
 
 # Largest stack of registers ``run_iterations`` simulates in one pass, in
-# matrix entries (1 MiB of complex128). At 3 qubits stacking removes most of
-# the per-call overhead; at 7 or 8 qubits a stack of 21 outgrew the cache
-# and ran 20-30 % slower than one register at a time, and an unbounded
-# stack would hold every secret's register in memory at once.
+# matrix entries (1 MiB of complex128); each branch-walk level stacks half
+# as many. At 3 qubits stacking removes most of the per-call overhead; at 7
+# or 8 qubits a stack of 21 outgrew the cache and ran 20-30 % slower than
+# one register at a time, and an unbounded stack would hold every secret's
+# register in memory at once.
 STACK_ENTRIES = 2**16
 
 # Branches below this (per-iteration) probability are reported but carry no
@@ -377,31 +378,33 @@ def _measurements(cfg: ProtocolConfig) -> list[tuple[int, str]]:
     return [(ALICE_QUBIT, "computational")] + [(q, "hadamard") for q in cfg.collaborator_qubits]
 
 
-def _project_branches(mat: np.ndarray, measurements: Sequence, m: int, labels: tuple = ()) -> Iterator:
-    """Yield ``(labels, unmeasured blocks)`` for every outcome branch of the
-    ``(qubit, basis)`` ``measurements``, depth-first in ``itertools.product``
-    order; each prefix's ``P X P`` is evaluated once. ``mat`` is a
-    ``(batch, 2^m, 2^m)`` stack of registers, and so is each leaf.
+def _project_branches(mat: np.ndarray, measurements: Sequence, m: int) -> tuple[list, np.ndarray]:
+    """Every outcome branch of the ``(qubit, basis)`` ``measurements``,
+    breadth-first: the leaves' labels in ``itertools.product`` order, and
+    their unmeasured blocks as a ``(batch, leaf, 2^(m-h), 2^(m-h))`` array
+    for a ``(batch, 2^m, 2^m)`` stack ``mat`` and h measurements.
 
-    A measured qubit leaves the matrix right after its projection: the
-    recursion keeps one diagonal slice on its axis and runs on the
-    (m-1)-qubit rest, with the later qubit indices shifted down past it. A
-    computational outcome keeps its own slice (the other is zero); a
-    Hadamard outcome keeps slice 0, because its two diagonal slices are
-    equal bit for bit, so the leaf is ``2^-h`` times the partial trace over
-    the measured qubits, for h Hadamard outcomes, exactly.
+    Each level projects every branch of every register in one call per
+    outcome and interleaves the kept slices outcome-minor. A measured qubit
+    leaves the matrix right after its projection: one diagonal slice on its
+    axis is kept. A computational outcome keeps its own slice (the other is
+    zero); a Hadamard outcome keeps slice 0, because its two diagonal
+    slices are equal bit for bit, so a leaf is ``2^-h`` times the partial
+    trace over the measured qubits, for h Hadamard outcomes, exactly.
     """
-    if not measurements:
-        yield labels, mat
-        return
-    (qubit, basis), rest = measurements[0], measurements[1:]
-    rest = [(q - (q > qubit), b) for q, b in rest]
-    lo, hi = 2**qubit, 2 ** (m - qubit - 1)
-    for label, proj in _BASIS_PROJECTORS[basis]:
-        bit = int(label == "1")
-        projected = _apply_channel_matrix(mat, (proj,), qubit, m).reshape(-1, lo, 2, hi, lo, 2, hi)
-        kept = projected[:, :, bit, :, :, bit, :].reshape(-1, lo * hi, lo * hi)
-        yield from _project_branches(kept, rest, m - 1, labels + (label,))
+    batch, labels = len(mat), [()]
+    for i, (qubit, basis) in enumerate(measurements):
+        qubit -= sum(q < qubit for q, _ in measurements[:i])  # its index in the rest
+        lo, hi = 2**qubit, 2 ** (m - qubit - 1)
+        projectors = _BASIS_PROJECTORS[basis]
+        kept = np.empty((len(mat), len(projectors), lo * hi, lo * hi), dtype=mat.dtype)
+        for o, (label, proj) in enumerate(projectors):
+            bit = int(label == "1")
+            projected = _apply_channel_matrix(mat, (proj,), qubit, m).reshape(-1, lo, 2, hi, lo, 2, hi)
+            kept.reshape(-1, len(projectors), lo, hi, lo, hi)[:, o] = projected[:, :, bit, :, :, bit, :]
+        mat, m = kept.reshape(-1, lo * hi, lo * hi), m - 1
+        labels = [prefix + (label,) for prefix in labels for label, _ in projectors]
+    return labels, mat.reshape(batch, len(labels), *mat.shape[1:])
 
 
 def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
@@ -431,11 +434,12 @@ def _execute_iteration(
     it would get alone; only the reports are built one by one, and each
     live one checks its state through the ``DensityMatrix`` constructor.
 
-    ``_project_branches`` walks the measurements depth-first, so branches
+    ``_project_branches`` walks the measurements breadth-first, so branches
     that agree on their first d outcomes share one projected register, and
-    drops each measured qubit once it is projected: for k helpers the walk
-    does 2^(d+1) sandwiches on a (k+2-d)-qubit matrix at depth d = 0..k,
-    O(4^m) in all, where the flat per-branch loop does 2 + k * 2^(k+1) on
+    drops each measured qubit once it is projected: for k helpers, level
+    d = 0..k is two sandwiches, each over the 2^d branches of every secret
+    as (k+2-d)-qubit matrices, so the walk is 2(k+1) calls and O(4^m) in
+    all, where the flat per-branch loop does 2 + k * 2^(k+1) sandwiches on
     the full m = k+2 qubits. Each kept entry is the one that loop computes,
     so the leaf times ``2^k`` is its partial trace onto the reconstructor,
     bit for bit.
@@ -462,13 +466,10 @@ def _execute_iteration(
         for q in transmitted:
             rho = _apply_channel_matrix(rho, (rev,), q, m)
 
-    leaves, branches = [], []
-    for labels, branch in _project_branches(rho, _measurements(cfg), m):
-        a, outcomes = int(labels[0]), labels[1:]
-        leaves.append((a, outcomes, _correction_key(a, outcomes)))
-        branches.append(branch)
+    labels, branches = _project_branches(rho, _measurements(cfg), m)
+    leaves = [(int(lab[0]), lab[1:], _correction_key(int(lab[0]), lab[1:])) for lab in labels]
     # Every secret's every leaf at once, secret-major: (secret, leaf, 2, 2).
-    bob = np.stack(branches, axis=1) * 2.0 ** len(cfg.collaborator_qubits)
+    bob = branches * 2.0 ** len(cfg.collaborator_qubits)
     probs = (bob[..., 0, 0] + bob[..., 1, 1]).real
     # A nan probability counts as live, so that its state is refused.
     secret_idx, leaf_idx = np.nonzero(~(probs <= ZERO_BRANCH_ATOL))

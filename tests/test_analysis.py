@@ -119,6 +119,17 @@ class TestProtectedFidelityOutcome0:
         with pytest.raises(DomainError):
             f0_ww(1.0, 0.3, 1.0, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "k",
+        [np.array([0.5 + 0.3j]), np.array([0.5 + 0j]), np.array([0.5], dtype=object), np.complex128(0.5 + 0.3j)],
+        ids=["complex-array", "real-valued-complex-array", "object-array", "complex-scalar"],
+    )
+    def test_non_real_input_is_refused(self, k):
+        # a cast to float would drop the imaginary part, with only a ComplexWarning
+        with pytest.raises(DomainError, match="k must be real"):
+            f0_ww(k, 0.2, 0.3, 0.4)
+
 
 class TestOptimalReversal:
     def test_region_bounds_shape(self):

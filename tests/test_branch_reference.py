@@ -20,6 +20,12 @@ reconstructed matrix and carried weight must agree with ``==``, not merely
 within a tolerance. Both
 apply single-qubit operators through ``_apply_channel_matrix``.
 
+``broadcast_sandwich`` is the earlier form of that primitive, two
+broadcast products and a sum per pass whatever the operator's zeros; the
+package leaves out a half of the operator whose entries are both zero, and
+with the reference run on ``broadcast_sandwich`` every report still agrees
+bit for bit.
+
 ``dense_sandwich`` is the slow form of that primitive: each operator lifted
 to the full register with ``embed`` and applied by two dense matmuls. A
 BLAS kernel may fuse a row's two products into one rounding, and complex
@@ -40,7 +46,17 @@ from numpy.testing import assert_allclose
 from conftest import partial_trace_oracle, random_density
 from qss_sim import protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
-from qss_sim.linalg import KET_0, KET_PLUS, PAULI_X, DensityMatrix, _qubit_fidelity, dagger, embed, su2
+from qss_sim.linalg import (
+    KET_0,
+    KET_PLUS,
+    MINUS_I_PAULI_Y,
+    PAULI_X,
+    DensityMatrix,
+    _qubit_fidelity,
+    dagger,
+    embed,
+    su2,
+)
 from qss_sim.protocol import (
     ALICE_QUBIT,
     ZERO_BRANCH_ATOL,
@@ -355,6 +371,46 @@ def test_run_iterations_equals_a_loop_of_run_iteration(parties, data):
         assert_bits_equal(reports, run_iteration(cfg, secret))
 
 
+@pytest.mark.parametrize("parties", range(2, 8))
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_run_iterations_matches_the_flat_reference_on_broadcast_sandwiches(parties, data):
+    """The breadth-first walk and the half-skipping sandwich against the flat
+    per-branch reference on the earlier two-product arithmetic: no signed
+    zero that skipping a zero half can leave reaches a report. With the
+    package's walk on ``broadcast_sandwich`` too, so a walk fault shows
+    apart from a sandwich one."""
+    channel = data.draw(st.none() | edge_noise | st.tuples(*[st.none() | edge_noise] * parties))
+    wmrqm = data.draw(st.none() | st.builds(Wmrqm, edge | unit, edge | unit))
+    batch = [
+        Secret(s.alpha * sign, s.beta)
+        for s, sign in data.draw(
+            st.lists(st.tuples(secrets(), st.sampled_from([1, -1])), min_size=1, max_size=3 if parties < 7 else 2)
+        )
+    ]
+    cfg = ProtocolConfig(parties=parties, secrets=batch[:1], channel=channel, wmrqm=wmrqm)
+    with mock.patch.dict(globals(), _apply_channel_matrix=broadcast_sandwich):
+        ref = [reference_execute(cfg, secret, 0, 1.0)[0] for secret in batch]
+    with mock.patch.object(protocol, "_apply_channel_matrix", broadcast_sandwich):
+        walk_only = run_iterations(cfg, batch)
+    for new in (run_iterations(cfg, batch), walk_only):
+        assert len(new) == len(ref)
+        for reports, expected in zip(new, ref):
+            assert_bits_equal(reports, expected)
+
+
+@pytest.mark.parametrize("parties", range(2, 8))
+def test_walk_makes_two_projections_per_measurement(parties):
+    """Per round: one sandwich per operator stage and transmitted qubit, and
+    one per outcome and measurement level, over every branch at once."""
+    cfg = ProtocolConfig(
+        parties=parties, secrets=(Secret.from_k(0.3),), channel=NoiseSpec("adc", 0.4), wmrqm=Wmrqm(0.2, 0.5)
+    )
+    with mock.patch.object(protocol, "_apply_channel_matrix", wraps=_apply_channel_matrix) as spy:
+        run_iteration(cfg, cfg.secrets[0])
+    assert spy.call_count == 3 * parties + 2 * parties
+
+
 def test_run_iterations_keeps_zero_probability_branches_per_secret():
     # Full reversal empties the dealer-outcome-1 branches of every secret.
     h = 2**-0.5
@@ -527,3 +583,59 @@ def test_run_iteration_matches_dense_embed(parties, monkeypatch):
         assert r.branch_probability == pytest.approx(d.branch_probability, rel=0, abs=DENSE_TOL)
         assert r.fidelity == pytest.approx(d.fidelity, rel=0, abs=DENSE_TOL)
         assert np.max(np.abs(r.reconstructed_state.matrix - d.reconstructed_state.matrix)) <= DENSE_TOL
+
+
+def broadcast_sandwich(mat, operators, qubit, m):
+    """``sum_i E_i mat E_i^dag`` as two broadcast products and a sum per
+    pass, ``dst[:, i] = E[i, 0] src[:, 0] + E[i, 1] src[:, 1]``, zero
+    entries included."""
+    rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)
+    half, part, out = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
+    cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))
+    for n, e in enumerate(operators):
+        term = np.empty_like(cols) if n else out.reshape(cols.shape)
+        for src, op, dst in ((rows, e, half), (cols, e.conj(), term)):
+            np.multiply(op[:, :1], src[:, :1], out=dst)
+            dst += np.multiply(op[:, 1:], src[:, 1:], out=part.reshape(dst.shape))
+        if n:
+            out += term.reshape(out.shape)
+    return out
+
+
+EDGE_STRENGTHS = (0.0, 5e-324, 0.5, 0.99609375, 1.0)
+
+_SANDWICH_OPERATOR_SETS = {
+    **_OPERATOR_SETS,
+    **{f"{ch.__name__}-{x!r}": ch(x).operators for ch in (pdc, adc) for x in EDGE_STRENGTHS},
+    **{f"{kind}-{x!r}": (weak_op(kind, x),) for kind in (FORWARD_NULL, REVERSE) for x in EDGE_STRENGTHS},
+    "X": (PAULI_X,),
+    "-iY": (MINUS_I_PAULI_Y,),
+}
+
+
+def register_stack(m, rng):
+    """A stack of m-qubit matrices with negative, zero and signed-zero parts."""
+    shape = (2 if m == 8 else 3, 2**m, 2**m)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pick = rng.integers(0, 8, size=shape)
+    stack[pick == 0] = 0.0
+    stack[pick == 1] = complex(-0.0, 0.0)
+    stack[pick == 2] = complex(0.0, -0.0)
+    stack[pick == 3] = stack[pick == 3].real
+    return stack
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_half_skipping_sandwich_equals_broadcast_sandwich(m):
+    """Elementwise ``==`` at every qubit and operator; where no operator
+    entry is zero nothing is skipped and only additions commute, so the
+    bytes agree too, signed zeros included."""
+    stack = register_stack(m, np.random.default_rng(m))
+    for name, ops in _SANDWICH_OPERATOR_SETS.items():
+        no_zero_entry = all(np.all(op != 0) for op in ops)
+        for q in range(m):
+            new = _apply_channel_matrix(stack, ops, q, m)
+            old = broadcast_sandwich(stack, ops, q, m)
+            assert np.array_equal(new, old), (name, q)
+            if no_zero_entry:
+                assert new.tobytes() == old.tobytes(), (name, q)
