@@ -19,13 +19,14 @@ simulator by the ``validate`` command and the test suite.
 
 A closed form takes floats and returns a Python float. ``r_opt``,
 ``f0_ww``, ``sp2`` and ``in_validity_region``, the pieces of the
-optimal-reversal integrand, also take ``numpy`` arrays (broadcast against
-each other and against floats) and return one value per element; an array
-gets the same domain checks on every element and raises ``DomainError``
-if any element fails them. The array expressions keep the scalar operand
-order, so each element equals the scalar call's value bit for bit, and
-the quadrature behind ``avg_f_opt0`` and ``avg_success_opt0`` evaluates
-each batch of nodes in one call.
+optimal-reversal integrand, and ``avg_f_opt0`` and ``avg_success_opt0``,
+its averages, also take ``numpy`` arrays (broadcast against each other and
+against floats) and return one value per element; an array gets the same
+domain checks on every element and raises ``DomainError`` if any element
+fails them. The array expressions keep the scalar operand order, so each
+element equals the scalar call's value bit for bit. An array of averages
+is one batched quadrature: each level of bisection evaluates the nodes of
+every ``(p, s)`` element in one integrand call.
 """
 
 from __future__ import annotations
@@ -257,30 +258,37 @@ def r_opt(k: FloatOrArray, s: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     return -root + (1.0 + (2.0 * k - 1.0) * s) / f
 
 
-def _region_domain(p: float, s: float) -> tuple[float, float]:
+def _region_domain(p: FloatOrArray, s: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """``(p, s)`` checked for the averages over the optimality region."""
     p = _unit(p, "p")
     s = _unit(s, "s")
-    if not 0.0 < p < 1.0 or not s < 1.0:
-        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
+    _require((0.0 < p) & (p < 1.0) & (s < 1.0), "need 0 < p < 1 and s < 1, got p={}, s={}", p, s)
     return p, s
 
 
-def _region_average(p: float, s: float, form: Callable[..., float]) -> float:
+def _region_average(
+    p: FloatOrArray, s: FloatOrArray, form: Callable[..., FloatOrArray]
+) -> FloatOrArray:
     """Integral of ``form(k, s, r_opt(k, s, p), p)`` over the optimality
     region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure.
-    One adaptive call over both pieces: one integrand call unless a panel
-    refines."""
+
+    Arrays ``p`` and ``s`` (broadcast against each other) give one integral
+    per element, and the whole batch is one adaptive call: one integrand
+    call unless a panel refines, whatever the batch size."""
     p, s = _region_domain(p, s)
+    shape = np.broadcast(p, s).shape
+    if shape:
+        p, s = (np.broadcast_to(x, shape).ravel() for x in (p, s))
     lower, split = region_bounds(p, s)
 
-    def integrand(k: np.ndarray) -> np.ndarray:
+    def integrand(k: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
         return form(k, s, r_opt(k, s, p), p)
 
-    return adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11)
+    total = adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11, args=(s, p))
+    return total.reshape(shape) if shape else total
 
 
-def avg_f_opt0(p: float, s: float) -> float:
+def avg_f_opt0(p: FloatOrArray, s: FloatOrArray) -> FloatOrArray:
     """Optimally protected dealer-outcome-0 fidelity, averaged over ``k``.
 
     Integrates ``f0_ww(k, s, r_opt(k, s, p), p)`` over the optimality
@@ -289,6 +297,8 @@ def avg_f_opt0(p: float, s: float) -> float:
     convention of the other secret averages (whose range is all of
     ``[0, 1]``). See ``avg_f_opt0_closed_form`` for the transcribed
     log-form expression and the validation report for how the two compare.
+    Takes floats or arrays; an array with any element outside
+    ``0 < p < 1``, ``s < 1`` raises.
     """
     return _region_average(p, s, f0_ww)
 
@@ -315,11 +325,12 @@ def avg_f_opt0_closed_form(p: float, s: float) -> float:
     return (term1 + term2) / (8.0 * u * v * v)
 
 
-def avg_success_opt0(p: float, s: float) -> float:
+def avg_success_opt0(p: FloatOrArray, s: FloatOrArray) -> FloatOrArray:
     """Survival probability at optimal reversal, averaged over ``k``.
 
     Same integration convention as ``avg_f_opt0``: ``sp2`` with
-    ``r = r_opt(k, s, p)`` integrated over the optimality region.
+    ``r = r_opt(k, s, p)`` integrated over the optimality region. Takes
+    floats or arrays, as ``avg_f_opt0`` does.
     """
     return _region_average(p, s, sp2)
 

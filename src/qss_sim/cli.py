@@ -158,8 +158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # e.g. a configuration whose post-selection extinguishes every branch
         print(f"error: numeric domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
