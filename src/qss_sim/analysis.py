@@ -19,24 +19,27 @@ simulator by the ``validate`` command and the test suite.
 
 A closed form takes floats and returns a Python float. ``r_opt``,
 ``f0_ww``, ``sp2`` and ``in_validity_region``, the pieces of the
-optimal-reversal integrand, and ``avg_f_opt0`` and ``avg_success_opt0``,
-its averages, also take ``numpy`` arrays (broadcast against each other and
-against floats) and return one value per element; an array gets the same
+optimal-reversal integrand, also take ``numpy`` arrays (broadcast against
+each other and against floats) and return one value per element, so a
+quadrature evaluates all its nodes in one call; an array gets the same
 domain checks on every element and raises ``DomainError`` if any element
 fails them. The array expressions keep the scalar operand order, so each
-element equals the scalar call's value bit for bit. An array of averages
-is one batched quadrature: each level of bisection evaluates the nodes of
-every ``(p, s)`` element in one integrand call.
+element equals the scalar call's value bit for bit.
+
+The averages over the optimality region depend on ``(p, s)`` only through
+``P = p(1-s)``: ``avg_f_opt0_closed_form`` is a function of ``P`` alone,
+and ``avg_success_opt0`` is ``((1-p)(1-s))^2`` times one. Both are exact;
+``avg_f_opt0`` is the direct quadrature that defines the fidelity average
+and that the exact form is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, gauss_legendre
 from .tolerances import POLE_ATOL
 
 __all__ = [
@@ -258,81 +261,96 @@ def r_opt(k: FloatOrArray, s: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     return -root + (1.0 + (2.0 * k - 1.0) * s) / f
 
 
-def _region_domain(p: FloatOrArray, s: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+def _region_domain(p: float, s: float) -> tuple[float, float]:
     """``(p, s)`` checked for the averages over the optimality region."""
     p = _unit(p, "p")
     s = _unit(s, "s")
-    _require((0.0 < p) & (p < 1.0) & (s < 1.0), "need 0 < p < 1 and s < 1, got p={}, s={}", p, s)
+    if not (0.0 < p < 1.0 and s < 1.0):
+        raise DomainError(f"need 0 < p < 1 and s < 1, got p={p}, s={s}")
     return p, s
 
 
-def _region_average(
-    p: FloatOrArray, s: FloatOrArray, form: Callable[..., FloatOrArray]
-) -> FloatOrArray:
-    """Integral of ``form(k, s, r_opt(k, s, p), p)`` over the optimality
-    region ``(lower, split) U (split, 1)`` in ``k``, plain ``dk`` measure.
-
-    Arrays ``p`` and ``s`` (broadcast against each other) give one integral
-    per element, and the whole batch is one adaptive call: one integrand
-    call unless a panel refines, whatever the batch size."""
-    p, s = _region_domain(p, s)
-    shape = np.broadcast(p, s).shape
-    if shape:
-        p, s = (np.broadcast_to(x, shape).ravel() for x in (p, s))
-    lower, split = region_bounds(p, s)
-
-    def integrand(k: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return form(k, s, r_opt(k, s, p), p)
-
-    total = adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11, args=(s, p))
-    return total.reshape(shape) if shape else total
-
-
-def avg_f_opt0(p: FloatOrArray, s: FloatOrArray) -> FloatOrArray:
+def avg_f_opt0(p: float, s: float) -> float:
     """Optimally protected dealer-outcome-0 fidelity, averaged over ``k``.
 
     Integrates ``f0_ww(k, s, r_opt(k, s, p), p)`` over the optimality
     region ``(lower, split) U (split, 1)`` with the plain ``dk`` measure,
     i.e. without renormalizing by the region length, matching the
     convention of the other secret averages (whose range is all of
-    ``[0, 1]``). See ``avg_f_opt0_closed_form`` for the transcribed
-    log-form expression and the validation report for how the two compare.
-    Takes floats or arrays; an array with any element outside
-    ``0 < p < 1``, ``s < 1`` raises.
+    ``[0, 1]``). This quadrature defines the average; the figures use its
+    exact form, ``avg_f_opt0_closed_form``.
     """
-    return _region_average(p, s, f0_ww)
+    p, s = _region_domain(p, s)
+    lower, split = region_bounds(p, s)
+
+    def integrand(k: np.ndarray) -> np.ndarray:
+        return f0_ww(k, s, r_opt(k, s, p), p)
+
+    return adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11)
 
 
 def avg_f_opt0_closed_form(p: float, s: float) -> float:
-    """Transcribed log-form expression for the optimally protected average.
+    """Exact value of ``avg_f_opt0``, a function of ``P = p(1-s)`` alone.
 
-    Kept verbatim as a cross-check target. Its value does not reproduce
-    the direct integral ``avg_f_opt0`` (the gap reaches ~0.3 over parts of
-    the domain); the validation suite therefore reports the discrepancy
-    instead of asserting agreement.
+    ``(8 + 8P - 2P^2 - 3P^3)/(8(1+P)^2)
+    + P^2/(4u) [2 ln((1+u)/(1+P+u)) + ln(2(1+P)/P)]`` with
+    ``u = sqrt(1 - P^2)``. The bracket is evaluated as the one ``log1p``
+    it equals, whose argument has no cancellation: the two logs cancel as
+    ``P -> 1``. The paper's printed form has ``8 - P(P+2)(4-3P)`` for the
+    polynomial and a different bracket, and misses the integral by up to 0.3.
     """
     p, s = _region_domain(p, s)
-    sb = 1.0 - s
-    u = math.sqrt(1.0 - p * p * sb * sb)
-    v = 1.0 + p - p * s
-    w = math.sqrt(2.0 / v - 1.0)
-    log_a = math.log(
-        p * sb * (1.0 - u + p * sb * (1.0 + u - 2.0 * w) + 2.0 * p * p * sb * sb * w)
+    P = p * (1.0 - s)
+    u = math.sqrt((1.0 - P) * (1.0 + P))
+    poly = (8.0 + 8.0 * P - 2.0 * P * P - 3.0 * P**3) / (8.0 * (1.0 + P) ** 2)
+    x = 2.0 * (1.0 + P) * ((1.0 - P) * (2.0 + P) + (2.0 - P) * u) / (P * (1.0 + P + u) ** 2)
+    return poly + P * P / (4.0 * u) * math.log1p(x)
+
+
+def _success_integrand(v: np.ndarray, P: float) -> np.ndarray:
+    """The success average's integrand in ``v = sqrt(1 - P^2 + P^2/k)``,
+    which maps the optimality region onto ``[1, 1+P]``."""
+    return (v + 1.0) * (1.0 + 2.0 * P + P * P + 2.0 * P * v - v * v) / (
+        v * (v + 1.0 - P) ** 2 * (v * v - 1.0 + P * P) ** 2
     )
-    log_b = math.log((2.0 - p * p * sb * sb - 2.0 * u) * v)
-    term1 = (8.0 - p * sb * (p * sb + 2.0) * (4.0 - 3.0 * p * sb)) * u
-    term2 = 2.0 * p * p * sb * sb * v * v * (log_a - log_b)
-    return (term1 + term2) / (8.0 * u * v * v)
 
 
-def avg_success_opt0(p: FloatOrArray, s: FloatOrArray) -> FloatOrArray:
+def _success_form(P: float) -> float:
+    """``P G(P)``, with ``G`` the integral of ``_success_integrand`` over
+    ``[1, 1+P]``.
+
+    Exact below ``P = 1/2``, with ``e = 1-P`` and ``u = sqrt(1-P^2)``. Above
+    it the form's ``e^-4`` terms cancel ever worse (2.5e-8 relative error at
+    ``P = 0.9``), so four 16-node panels integrate ``G`` instead: the
+    rounded Gauss-Legendre weights are biased, and the error that causes
+    grows with how much the integrand varies over a panel (3.6e-15 for one
+    32-node panel, 1.2e-15 for these four).
+    """
+    if P >= 0.5:
+        edges = [1.0 + P * i / 4 for i in range(5)]
+        panels = gauss_legendre(lambda v: _success_integrand(v, P), edges[:-1], edges[1:], n=16)
+        return P * math.fsum(panels)
+    e = 1.0 - P
+    u = math.sqrt(e * (1.0 + P))
+    return (
+        P * (math.log1p(P) + P * math.log1p(-0.5 * P)) / e**4
+        - P * P * (1.0 + P) / (4.0 * e**3 * (2.0 - P))
+        - P * (math.log(2.0 * (1.0 + P)) - math.log(P)) / (2.0 * e**3)
+        + 1.0 / (e * e * (1.0 + P))
+        + P * (math.log1p(u) - math.log(P)) / (4.0 * e * e * u * (1.0 + P))
+    )
+
+
+def avg_success_opt0(p: float, s: float) -> float:
     """Survival probability at optimal reversal, averaged over ``k``.
 
-    Same integration convention as ``avg_f_opt0``: ``sp2`` with
-    ``r = r_opt(k, s, p)`` integrated over the optimality region. Takes
-    floats or arrays, as ``avg_f_opt0`` does.
+    Same integration convention as ``avg_f_opt0``: the integral of ``sp2``
+    with ``r = r_opt(k, s, p)`` over the optimality region. Exact, as
+    ``((1-p)(1-s))^2`` times a function of ``P = p(1-s)`` alone (see
+    ``_success_form``).
     """
-    return _region_average(p, s, sp2)
+    p, s = _region_domain(p, s)
+    return ((1.0 - p) * (1.0 - s)) ** 2 * _success_form(p * (1.0 - s))
 
 
 def _check_off_pole(p: float, r: float) -> None:

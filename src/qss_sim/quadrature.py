@@ -9,14 +9,8 @@ Integrands take an array: ``f`` receives every node of every panel in one
 call and returns their values elementwise, so a batch of panels costs one
 integrand evaluation. Each panel's weighted sum is taken left to right
 from ``0.0``, node by node, which is the order of a scalar loop over the
-nodes; batching therefore never changes a result's bytes.
-
-Both functions take a batch: ``gauss_legendre`` one integral per panel,
-``adaptive_gauss_legendre`` one per entry of its breakpoint arrays. An
-integral's parameters reach ``f`` as extra arguments, ``f(k, *args)``,
-one row per panel against the ``(panels, n)`` nodes, and its value is the
-one its own call would give. Non-finite, complex or misshapen ends raise
-``ValueError``.
+nodes; batching therefore never changes a result's bytes. Non-finite
+ends raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,11 +32,10 @@ def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float | Sequence[float],
     b: float | Sequence[float],
     n: int = 64,
-    args: Sequence = (),
 ) -> float | list[float]:
     """Fixed-order Gauss-Legendre integral of ``f`` over ``[a, b]``.
 
@@ -53,10 +46,6 @@ def gauss_legendre(
     call of ``f`` (nodes of shape ``(panels, n)``). An empty or reversed
     panel integrates to ``0.0`` and contributes no nodes. Each panel's
     ``w * f`` terms are summed left to right from ``0.0``.
-
-    ``args`` are passed on as ``f(nodes, *args)``. With panel sequences, a
-    float is passed as it is and an array holds one value per panel, which
-    arrives as a ``(panels, 1)`` column of the live panels' values.
     """
     x, w = _nodes(n)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
@@ -65,7 +54,7 @@ def gauss_legendre(
         if b <= a:
             return 0.0
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return float(half * _weighted_sum(w, f(mid + half * x, *args)))
+        return float(half * _weighted_sum(w, f(mid + half * x)))
     lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError(f"panel ends must be equal-length sequences, not {lo.shape}, {hi.shape}")
@@ -75,8 +64,7 @@ def gauss_legendre(
     live = hi > lo
     if live.any():
         mid, half = 0.5 * (lo[live] + hi[live]), 0.5 * (hi[live] - lo[live])
-        params = [arg if np.ndim(arg) == 0 else np.asarray(arg)[live][:, None] for arg in args]
-        out[live] = half * _weighted_sum(w, f(mid[:, None] + half[:, None] * x, *params))
+        out[live] = half * _weighted_sum(w, f(mid[:, None] + half[:, None] * x))
     return out.tolist()
 
 
@@ -90,42 +78,29 @@ def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def adaptive_gauss_legendre(
-    f: Callable[..., np.ndarray],
-    *points: float | np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray],
+    *points: float,
     tol: float = 1e-10,
     n: int = 64,
     max_depth: int = 12,
-    args: tuple = (),
-) -> float | np.ndarray:
+) -> float:
     """Bisection-refined Gauss-Legendre integral over the pieces
     ``[points[i], points[i + 1]]``, added left to right with ``+``.
 
     Each panel is accepted when halving it changes the estimate by less
     than its share of ``tol`` (each piece has all of it). An empty or
-    reversed piece adds ``0.0``.
-
-    Float ``points`` give one integral, as a float. Equal-length 1-D arrays
-    (floats broadcast against them) give a batch of integrals, one per
-    entry, as an array. ``f`` is called as ``f(k, *args)``: a float in
-    ``args`` is shared by every integral and passed as it is, an array
-    holds one parameter per integral and arrives gathered per panel, a
-    ``(panels, 1)`` column against the ``(panels, n)`` nodes. The levels of
-    every integral's bisection tree are walked together: the whole, left
-    and right panels of every non-empty piece come from one call of ``f``,
-    and each deeper level from one more call over both halves of every
-    child of every refined panel. An integral's bytes do not depend on the
-    batch around it.
+    reversed piece adds ``0.0``. The levels of the bisection tree are walked
+    together: the whole, left and right panels of every non-empty piece
+    come from one call of ``f``, and each deeper level from one more call
+    over both halves of every child of every refined panel.
     """
-    if len(points) < 2:
+    if len(points) < 2 or not all(map(math.isfinite, points)):
         raise ValueError(f"need two or more finite points, got {points}")
     if not (0.0 < tol < math.inf and n >= 1):
         raise ValueError(f"need a finite tol > 0 and n >= 1, got {tol}, {n}")
-    ends = _breakpoints(points)
-    batch, pieces = ends.shape[0], ends.shape[1] - 1
-    args = [np.broadcast_to(arg, (batch,)) if np.ndim(arg) else arg for arg in args]
-    a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    slot = np.flatnonzero(b > a)  # one node per live (integral, piece)
-    lo, hi, owner = a[slot], b[slot], slot // pieces
+    pieces = list(zip(points, points[1:]))
+    lo = np.array([a for a, b in pieces if b > a])
+    hi = np.array([b for a, b in pieces if b > a])
     whole = None  # the first level also integrates each piece whole
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (value, refined) per level
     budget, depth = tol, 0
@@ -135,50 +110,22 @@ def adaptive_gauss_legendre(
             starts, stops = [lo, lo, mid], [hi, mid, hi]
         else:
             starts, stops = [lo, mid], [mid, hi]
-        panel_owner = np.concatenate([owner] * len(starts))
-        params = [arg[panel_owner] if isinstance(arg, np.ndarray) else arg for arg in args]
         *first, left, right = np.array(gauss_legendre(
-            f, np.concatenate(starts), np.concatenate(stops), n, args=params
+            f, np.concatenate(starts), np.concatenate(stops), n
         )).reshape(len(starts), -1)
         whole = first[0] if first else whole
         value = left + right
         settled = np.abs(value - whole) <= budget
-        refined = np.flatnonzero(~settled) if depth < max_depth else slot[:0]
+        refined = np.flatnonzero(~settled & (depth < max_depth))
         levels.append((value, refined))
         # The next level's nodes: the left halves of the refined panels, then
         # their right halves.
         lo = np.concatenate([lo[refined], mid[refined]])
         hi = np.concatenate([mid[refined], hi[refined]])
         whole = np.concatenate([left[refined], right[refined]])
-        owner = np.concatenate([owner[refined], owner[refined]])
         budget, depth = budget / 2, depth + 1
     # A refined panel's value is its halves' values added, deepest level first.
     for (value, refined), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
         value[refined] = below[:refined.size] + below[refined.size:]
-    totals = np.zeros(batch * pieces)
-    if levels:
-        totals[slot] = levels[0][0]
-    totals = totals.reshape(batch, pieces)
-    total = reduce(operator.add, totals.T)
-    return float(total[0]) if all(np.ndim(point) == 0 for point in points) else total
-
-
-def _breakpoints(points: Sequence[float | np.ndarray]) -> np.ndarray:
-    """The breakpoints as a ``(batch, len(points))`` float array.
-
-    A float is shared by every integral; arrays must be real, 1-D and of
-    one length, which is the batch size (1 if every point is a float).
-    Every entry must be finite.
-    """
-    arrays = [np.asarray(point) for point in points]
-    if any(array.dtype.kind not in "biuf" for array in arrays):
-        raise ValueError(f"breakpoints must be real, got dtypes {[x.dtype for x in arrays]}")
-    shapes = {array.shape for array in arrays if array.ndim}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise ValueError(f"breakpoint arrays must be 1-D and of one length, got {sorted(shapes)}")
-    ends = np.empty((shapes.pop()[0] if shapes else 1, len(points)))
-    for column, array in enumerate(arrays):
-        ends[:, column] = array
-    if not np.isfinite(ends).all():
-        raise ValueError(f"need two or more finite points, got {points}")
-    return ends
+    values = iter(levels[0][0].tolist() if levels else [])
+    return reduce(operator.add, [next(values) if b > a else 0.0 for a, b in pieces])

@@ -4,16 +4,8 @@ A sweep evaluates one or more named quantities on a 1- or 2-axis grid and
 writes one row per grid point, outer axis major. Floats are written with 12
 significant digits; grid points where a quantity is undefined produce a
 literal ``nan`` and are counted in the trailing ``# warnings: N`` comment
-line. Output is bit-identical across repeated runs of the same spec, and
-rows are written in grid order.
-
-A region average (``avg_f_opt0``, ``prob_succ``) is first evaluated over
-the grid in batches of grid order, one array call per batch, whose
-elements equal the scalar calls bit for bit; if that call raises
-``DomainError``, each point of the batch evaluates it on its own, so each
-undefined point still writes its own ``nan``. The points are then
-evaluated one by one in grid order, every other quantity with its scalar
-call.
+line. Output is bit-identical across repeated runs of the same spec:
+points are evaluated one after another and written in grid order.
 
 A spec is checked once, before its grid is built: unknown or repeated names, axis
 ranges, the grid size, missing parameters, an axis or a fixed binding that
@@ -85,7 +77,7 @@ QUANTITIES: dict[str, tuple[tuple[str, ...], Callable[[dict], float]]] = {
     "sp2": _closed_form("sp2", ("k", "s", "r", "p")),
     "f0_ww": _closed_form("f0_ww", ("k", "s", "r", "p")),
     "r_opt": _closed_form("r_opt", ("k", "s", "p")),
-    "avg_f_opt0": _closed_form("avg_f_opt0", ("p", "s")),
+    "avg_f_opt0": _closed_form("avg_f_opt0_closed_form", ("p", "s")),
     "avg_f1": _closed_form("avg_f1", ("p", "r")),
     "f1_ww": _closed_form("f1_ww", ("k", "r", "p")),
     "prob_succ": _closed_form("avg_success_opt0", ("p", "s")),
@@ -174,44 +166,8 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigValidationError(f"{q} needs parameter(s) {sorted(missing)}")
 
 
-# Quantities evaluated over batches of grid points, by the name of the
-# ``analysis`` function that takes arrays of their parameters.
-_ARRAY_FORMS = {"avg_f_opt0": "avg_f_opt0", "prob_succ": "avg_success_opt0"}
-
-# Most quadrature nodes one batch evaluates at its first level. A region
-# average takes 384 a point (two pieces of three 64-node panels), so a batch
-# holds 16 points. A batch call's fixed cost is about that of 14 points, so
-# 8-point batches made a figures pass about 35 % slower; each node holds
-# about 90 bytes of temporaries, 0.55 MB at 16 points.
-BATCH_NODES = 6144
-_BATCH_POINTS = BATCH_NODES // (2 * 3 * 64)
-
-
-def _batch_values(
-    spec: SweepSpec, batch: Sequence[dict[str, float | str]]
-) -> list[dict[str, float]]:
-    """Each point's value of every array quantity of the spec, from one
-    array call per quantity over the batch. A quantity whose call raises
-    ``DomainError`` is left out, so each point evaluates it on its own."""
-    known: list[dict[str, float]] = [{} for _ in batch]
-    for q in spec.quantities:
-        if q not in _ARRAY_FORMS:
-            continue
-        columns = [np.array([float(b[name]) for b in batch]) for name in QUANTITIES[q][0]]
-        try:
-            values = getattr(analysis, _ARRAY_FORMS[q])(*columns)
-        except DomainError:
-            continue
-        for point, value in zip(known, values.tolist()):
-            point[q] = value
-    return known
-
-
-def _evaluate_point(
-    spec: SweepSpec, bindings: dict[str, float | str], known: dict[str, float]
-) -> tuple[list[float], int]:
-    """One grid point's values and ``nan`` count; ``known`` holds the values
-    a batch already computed for it."""
+def _evaluate_point(spec: SweepSpec, bindings: dict[str, float | str]) -> tuple[list[float], int]:
+    """One grid point's values and ``nan`` count."""
     values: list[float] = []
     warnings = 0
     resolved = dict(bindings)
@@ -224,7 +180,7 @@ def _evaluate_point(
             resolved["r"] = math.nan
     for q in spec.quantities:
         try:
-            value = known[q] if q in known else QUANTITIES[q][1](resolved)
+            value = QUANTITIES[q][1](resolved)
         except DomainError:
             value = math.nan
         if isinstance(value, float) and math.isnan(value):
@@ -241,10 +197,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]], int]:
 
     points = [dict(zip(names, map(float, xs)), **spec.fixed) for xs in itertools.product(*grids)]
 
-    known = []
-    for start in range(0, len(points), _BATCH_POINTS):
-        known.extend(_batch_values(spec, points[start:start + _BATCH_POINTS]))
-    results = [_evaluate_point(spec, b, k) for b, k in zip(points, known)]
+    results = [_evaluate_point(spec, b) for b in points]
 
     header = names + list(spec.quantities)
     rows = [[float(p[n]) for n in names] + vals for p, (vals, _) in zip(points, results)]

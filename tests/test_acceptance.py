@@ -194,26 +194,26 @@ def test_criterion_5_optimal_reversal_strength(rng):
 
 
 def test_criterion_6_protection_floor_and_closed_form_report():
-    with criterion(6, "protected average near 3/5 at strong damping; gap documented"):
+    with criterion(6, "protected average near 3/5 at strong damping; closed form agrees"):
         value = avg_f_opt0(0.99, 0.0)
         assert 0.55 <= value <= 0.65
         baseline = avg_f_ad(0.99)
         assert abs(baseline - 0.505) < 1e-12
         assert value - baseline >= 0.05
 
-        # closed form versus quadrature: target 1e-4, actual gap documented
+        # closed form versus quadrature: target 1e-4
         closed = avg_f_opt0_closed_form(0.99, 0.0)
         gap = abs(value - closed)
         print(
-            f"    criterion 6 report: quadrature {value:.9f}, transcribed closed form "
-            f"{closed:.9f}, |gap| {gap:.3e} (target 1e-4 not met; documented erratum, "
-            f"see validation suite note)"
+            f"    criterion 6 report: quadrature {value:.9f}, closed form "
+            f"{closed:.9f}, |gap| {gap:.3e} (target 1e-4)"
         )
+        assert gap < 1e-4
         from qss_sim.validate import _suite_avg_f_opt0_report
 
         report = _suite_avg_f_opt0_report(3)
         assert report.informational and report.note
-        assert report.max_residual > 1e-4  # the discrepancy is real and visible
+        assert report.max_residual < 1e-4
 
 
 def test_criterion_7_success_probability_trade_off():

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qss_sim.analysis import (
@@ -211,15 +209,6 @@ class TestAveragedProtectedFidelity:
             )
             assert avg_f_opt0(p, s) == pytest.approx(integral, abs=1e-9)
 
-    def test_closed_form_transcription_is_finite_and_reported(self):
-        # the transcribed log form does not equal the integral; the gap is
-        # part of the validation report rather than an assertion
-        quad_value = avg_f_opt0(0.99, 0.0)
-        closed_value = avg_f_opt0_closed_form(0.99, 0.0)
-        assert np.isfinite(closed_value)
-        gap = abs(quad_value - closed_value)
-        assert gap == pytest.approx(0.0692, abs=0.001)
-
     def test_slightly_below_unprotected_at_weak_noise(self):
         # at low damping and weak forward measurement the protected average
         # sits a little under the unprotected one (post-selection overhead)
@@ -238,66 +227,29 @@ class TestAveragedProtectedFidelity:
             avg_f_opt0_closed_form(0.5, 1.0)
 
 
-# Points whose region average refines: p = 0.001 takes two quadrature
-# levels, s = 0.999 four. Every other point settles at the first level.
-REFINING = [(0.001, 0.3), (0.5, 0.999), (0.001, 0.5), (0.3, 0.999)]
-region_points = st.tuples(
-    st.one_of(st.just(0.001), st.floats(0.01, 0.99)),
-    st.one_of(st.just(0.999), st.just(0.0), st.floats(0.0, 0.95)),
-)
+AVERAGES = [avg_f_opt0, avg_f_opt0_closed_form, avg_success_opt0]
 
 
-def _hexes(values):
-    return [float(v).hex() for v in values]
+class TestRegionAverageInputs:
+    @pytest.mark.parametrize("average", AVERAGES)
+    def test_float_arguments_give_a_python_float(self, average):
+        assert type(average(0.5, 0.3)) is float
 
-
-class TestArrayRegionAverages:
-    """The array averages against per-element scalar calls, by ``float.hex``."""
-
-    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
-    @given(
-        drawn=st.lists(region_points, min_size=1, max_size=12),
-        at=st.integers(0, 12),
-        cut=st.integers(1, 15),
-        average=st.sampled_from([avg_f_opt0, avg_success_opt0]),
-    )
-    def test_batches_equal_the_scalar_calls(self, drawn, at, cut, average):
-        # Refining points sit among settling ones, and the grid is cut into
-        # two batches at a point inside it.
-        points = drawn[:at] + REFINING + drawn[at:]
-        cut = min(cut, len(points) - 1)
-        p, s = (np.array(column) for column in zip(*points))
-        want = _hexes(average(*point) for point in points)
-        assert _hexes(average(p, s)) == want
-        assert _hexes(average(p[:cut], s[:cut])) + _hexes(average(p[cut:], s[cut:])) == want
-
-    def test_arrays_broadcast_against_each_other_and_floats(self):
-        p, s = np.array([[0.2], [0.7]]), np.array([0.0, 0.4, 0.999])
-        got = avg_f_opt0(p, s)
-        assert got.shape == (2, 3)
-        assert got.ravel().tolist() == [avg_f_opt0(x, y) for x in (0.2, 0.7) for y in s.tolist()]
-        assert avg_success_opt0(0.6, s).tolist() == [avg_success_opt0(0.6, y) for y in s.tolist()]
-
-    def test_float_arguments_give_a_python_float(self):
-        assert type(avg_f_opt0(0.5, 0.3)) is float
-        assert type(avg_success_opt0(0.5, 0.3)) is float
-
-    @pytest.mark.parametrize("average", [avg_f_opt0, avg_success_opt0])
-    def test_any_failing_element_raises(self, average):
-        p = np.array([0.5, 0.6, 0.7])
+    @pytest.mark.parametrize("average", AVERAGES)
+    def test_outside_the_domain_raises(self, average):
         with pytest.raises(DomainError, match="got p=0.6, s=1.0"):
-            average(p, np.array([0.3, 1.0, 1.0]))
+            average(0.6, 1.0)
         with pytest.raises(DomainError, match="got p=0.0, s=0.3"):
-            average(np.array([0.5, 0.0]), 0.3)
+            average(0.0, 0.3)
         with pytest.raises(DomainError, match="p must lie in \\[0, 1\\], got nan"):
-            average(np.array([0.5, math.nan]), 0.3)
+            average(math.nan, 0.3)
         with pytest.raises(DomainError, match="s must lie in \\[0, 1\\], got inf"):
-            average(p, np.array([0.3, 0.2, math.inf]))
+            average(0.5, math.inf)
 
-    @pytest.mark.parametrize("average", [avg_f_opt0, avg_success_opt0])
+    @pytest.mark.parametrize("average", AVERAGES)
     def test_complex_input_is_refused(self, average):
         with pytest.raises(DomainError, match="p must be real"):
-            average(np.array([0.5 + 0.0j]), 0.3)
+            average(np.complex128(0.5 + 0.0j), 0.3)
         with pytest.raises(DomainError, match="s must be real"):
             average(0.5, np.complex128(0.3))
 

@@ -318,49 +318,27 @@ class TestSweepCommand:
         assert lines[1] == "0,nan"
         assert lines[-1] == "# warnings: 1"
 
-    @pytest.mark.parametrize("batch_points", [sweeps._BATCH_POINTS, 4, 3])
-    def test_batches_write_what_per_point_evaluation_writes(
-        self, tmp_path, monkeypatch, batch_points
-    ):
-        # p = 0, p = 1 and s = 1 are undefined; batches that hold one of them
-        # fall back to the scalar path, the rest are one array call each.
+    def test_each_point_is_evaluated_once_in_grid_order(self, tmp_path, monkeypatch):
+        # p = 0, p = 1 and s = 1 are undefined for both region averages.
         spec = tmp_path / "s.spec"
         spec.write_text(
             "quantity = prob_succ, avg_f_ad, avg_f_opt0\naxis = p, 0, 1, 5\naxis2 = s, 0, 1, 5\n"
         )
-        per_point = tmp_path / "per_point.csv"
-        with monkeypatch.context() as patch:
-            patch.setattr(sweeps, "_ARRAY_FORMS", {})
-            assert main(["sweep", "--spec", str(spec), "--out", str(per_point)]) == 0
+        evaluated = []
+        real_point = sweeps._evaluate_point
 
-        monkeypatch.setattr(sweeps, "_BATCH_POINTS", batch_points)
-        sizes, evaluated = [], []
-        real_average, real_point = analysis.avg_f_opt0, sweeps._evaluate_point
-
-        def average(p, s):
-            sizes.append(np.size(p))
-            return real_average(p, s)
-
-        def point(spec, bindings, known):
+        def point(spec, bindings):
             evaluated.append((bindings["p"], bindings["s"]))
-            return real_point(spec, bindings, known)
+            return real_point(spec, bindings)
 
-        monkeypatch.setattr(analysis, "avg_f_opt0", average)
         monkeypatch.setattr(sweeps, "_evaluate_point", point)
-        batched = tmp_path / "batched.csv"
-        assert main(["sweep", "--spec", str(spec), "--out", str(batched)]) == 0
-        assert batched.read_bytes() == per_point.read_bytes()
-        text = batched.read_text()
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        text = out.read_text()
         # 13 undefined points, two region averages each.
         assert text.count("nan") == 26 and text.endswith("# warnings: 26\n")
-        # Once per point, in grid order, batched or not.
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         assert evaluated == [(p, s) for p in grid for s in grid]
-        # One array call per batch, then one scalar call per point of each
-        # batch that holds an undefined point.
-        defined = [0.0 < p < 1.0 and s < 1.0 for p, s in evaluated]
-        batches = [defined[start:start + batch_points] for start in range(0, 25, batch_points)]
-        assert sizes == [len(b) for b in batches] + [1 for b in batches if not all(b) for _ in b]
 
     def test_fixed_point_grid_values_in_range(self, tmp_path):
         spec = tmp_path / "s.spec"

@@ -4,7 +4,7 @@
 the package used before integrands took arrays: one call of ``f`` per node,
 summed in node order, and three separate panels per bisection step. The
 batched path must equal them bit for bit, and every array call of the
-closed forms behind the optimal-reversal averages must equal the scalar
+closed forms behind the optimal-reversal integrand must equal the scalar
 calls element by element.
 """
 
@@ -25,7 +25,6 @@ from qss_sim import analysis, protocol, validate
 from qss_sim.analysis import (
     DomainError,
     avg_f_opt0,
-    avg_success_opt0,
     f0_ww,
     in_validity_region,
     r_opt,
@@ -65,11 +64,11 @@ def oracle_adaptive(f, a, b, tol=1e-10, n=64, max_depth=12):
     return recurse(a, b, oracle_gauss_legendre(f, a, b, n), tol, 0)
 
 
-def oracle_region_average(p, s, form):
+def oracle_avg_f_opt0(p, s):
     lower, split = region_bounds(p, s)
 
     def integrand(k):
-        return form(k, s, r_opt(k, s, p), p)
+        return f0_ww(k, s, r_opt(k, s, p), p)
 
     return oracle_adaptive(integrand, lower, split, tol=1e-11) + oracle_adaptive(
         integrand, split, 1.0, tol=1e-11
@@ -170,63 +169,6 @@ class TestBatchedAdaptive:
         assert shapes == [(3, 64)] + [(4, 64)] * 4
 
 
-class TestBatchOfIntegrals:
-    @examples
-    @given(
-        integrals=st.lists(
-            st.tuples(
-                ends, st.one_of(st.just(0.0), widths), st.floats(-2.0, 4.0), st.floats(0.5, 2.0)
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
-        n=st.sampled_from([5, 21, 64]),
-    )
-    def test_each_integral_equals_its_scalar_call(self, integrals, tol, n):
-        # |x - kink| refines only the panels around each integral's kink; the
-        # shared breakpoint 0.5 can make a piece empty or reversed.
-        def f(x, kink, scale):
-            return abs(x - kink) * rational(x) * scale
-
-        start, width, kink, scale = (np.array(column) for column in zip(*integrals))
-        end = start + width
-        options = dict(tol=tol, n=n, max_depth=6)
-        levels = []
-
-        def counted(x, *params):
-            levels.append(x.shape[0])
-            return f(x, *params)
-
-        got = adaptive_gauss_legendre(counted, start, 0.5, end, args=(kink, scale), **options)
-        singles = []
-        for a, b, c, d in zip(start.tolist(), end.tolist(), kink.tolist(), scale.tolist()):
-            calls = []
-
-            def g(x, c=c, d=d):
-                calls.append(x.shape[0])
-                return f(x, c, d)
-
-            singles.append((adaptive_gauss_legendre(g, a, 0.5, b, **options), calls))
-        assert [x.hex() for x in got.tolist()] == [total.hex() for total, _ in singles]
-        # One call per level, over the panels of every integral at that level.
-        depth = max(len(calls) for _, calls in singles)
-        assert levels == [
-            sum(calls[level] for _, calls in singles if level < len(calls)) for level in range(depth)
-        ]
-
-    def test_one_integral_batch_equals_the_scalar_call(self):
-        def f(x, kink):
-            return abs(x - kink)
-
-        got = adaptive_gauss_legendre(f, np.array([0.0]), 0.4, 1.0, tol=1e-12, args=(np.array([0.3]),))
-        assert isinstance(got, np.ndarray) and got.shape == (1,)
-        assert got[0] == adaptive_gauss_legendre(lambda x: f(x, 0.3), 0.0, 0.4, 1.0, tol=1e-12)
-
-    def test_empty_batch_is_empty_without_a_call(self):
-        assert adaptive_gauss_legendre(_never, np.array([]), 1.0).shape == (0,)
-
-
 def _never(x):
     raise AssertionError("integrand called")
 
@@ -321,28 +263,6 @@ class TestInvalidInputFailsEarly:
         with pytest.raises(ValueError, match="finite"):
             adaptive_gauss_legendre(_never, 0.0, bad, 1.0)
 
-    @pytest.mark.parametrize("points", [
-        (0.0, np.array([1.0 + 0.0j])),
-        (np.array([0.0, 0.1]), np.array([1.0, 1.0, 1.0])),
-        (np.zeros((2, 1)), 1.0),
-        (np.array([[0.0]]), np.array([1.0])),
-        (0.0, np.array(["1.0"])),
-    ])
-    def test_breakpoints_must_be_real_equal_length_1d_arrays(self, points):
-        with pytest.raises(ValueError, match="breakpoint"):
-            adaptive_gauss_legendre(_never, *points)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_every_breakpoint_entry_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            adaptive_gauss_legendre(_never, np.array([0.0, bad]), 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            adaptive_gauss_legendre(_never, 0.0, np.array([0.5, 0.5]), np.array([1.0, bad]))
-
-    def test_args_must_hold_one_entry_per_integral(self):
-        with pytest.raises(ValueError):
-            adaptive_gauss_legendre(_never, np.array([0.0, 0.1]), 1.0, args=(np.ones(3),))
-
     def test_two_points_at_least(self):
         with pytest.raises(ValueError, match="two or more"):
             adaptive_gauss_legendre(_never, 0.0)
@@ -355,14 +275,9 @@ GRID = list(product((0.02, 0.1, 0.5, 0.9, 0.98), (0.0, 0.3, 0.8, 0.9)))
 class TestOptimalReversalAverages:
     @pytest.mark.parametrize("p, s", GRID)
     def test_avg_f_opt0_equals_the_per_node_path(self, p, s):
-        assert avg_f_opt0(p, s) == oracle_region_average(p, s, f0_ww)
+        assert avg_f_opt0(p, s) == oracle_avg_f_opt0(p, s)
 
-    @pytest.mark.parametrize("p, s", GRID)
-    def test_avg_success_opt0_equals_the_per_node_path(self, p, s):
-        assert avg_success_opt0(p, s) == oracle_region_average(p, s, sp2)
-
-    @pytest.mark.parametrize("average", [avg_f_opt0, avg_success_opt0])
-    def test_one_integrand_call_per_average(self, average, monkeypatch):
+    def test_one_integrand_call_per_average(self, monkeypatch):
         shapes = []
 
         def counted(k, s, p):
@@ -370,7 +285,7 @@ class TestOptimalReversalAverages:
             return r_opt(k, s, p)
 
         monkeypatch.setattr(analysis, "r_opt", counted)
-        average(0.5, 0.3)
+        avg_f_opt0(0.5, 0.3)
         assert shapes == [(6, 64)]
 
 
