@@ -25,6 +25,7 @@ from qss_sim import analysis, protocol, validate
 from qss_sim.analysis import (
     DomainError,
     avg_f_opt0,
+    avg_success_opt0,
     f0_ww,
     in_validity_region,
     r_opt,
@@ -64,11 +65,11 @@ def oracle_adaptive(f, a, b, tol=1e-10, n=64, max_depth=12):
     return recurse(a, b, oracle_gauss_legendre(f, a, b, n), tol, 0)
 
 
-def oracle_avg_f_opt0(p, s):
+def oracle_region_average(p, s, form):
     lower, split = region_bounds(p, s)
 
     def integrand(k):
-        return f0_ww(k, s, r_opt(k, s, p), p)
+        return form(k, s, r_opt(k, s, p), p)
 
     return oracle_adaptive(integrand, lower, split, tol=1e-11) + oracle_adaptive(
         integrand, split, 1.0, tol=1e-11
@@ -275,7 +276,16 @@ GRID = list(product((0.02, 0.1, 0.5, 0.9, 0.98), (0.0, 0.3, 0.8, 0.9)))
 class TestOptimalReversalAverages:
     @pytest.mark.parametrize("p, s", GRID)
     def test_avg_f_opt0_equals_the_per_node_path(self, p, s):
-        assert avg_f_opt0(p, s) == oracle_avg_f_opt0(p, s)
+        assert avg_f_opt0(p, s) == oracle_region_average(p, s, f0_ww)
+
+    @pytest.mark.parametrize("p, s", GRID)
+    def test_avg_success_opt0_equals_the_per_node_path(self, p, s):
+        # The success average is an exact form in P = p(1 - s), not this
+        # quadrature, so the two agree to the oracle's roundoff: 1.1e-14
+        # relative at p = 0.98, s = 0.9, where P is nearest 1.
+        assert avg_success_opt0(p, s) == pytest.approx(
+            oracle_region_average(p, s, sp2), rel=5e-14, abs=0.0
+        )
 
     def test_one_integrand_call_per_average(self, monkeypatch):
         shapes = []
