@@ -298,11 +298,17 @@ def avg_f_opt0_closed_form(p: float, s: float) -> float:
     it equals, whose argument has no cancellation: the two logs cancel as
     ``P -> 1``. The paper's printed form has ``8 - P(P+2)(4-3P)`` for the
     polynomial and a different bracket, and misses the integral by up to 0.3.
+    Where ``P^2`` underflows to 0 the log term, below ``P^2 ln(4/P)``, is far
+    under half an ulp of the polynomial, which is returned alone: there
+    ``x``, about ``2/P``, may overflow (from ``P`` below about 1e-308) or
+    divide by a ``P`` that rounded to 0.
     """
     p, s = _region_domain(p, s)
     P = p * (1.0 - s)
     u = math.sqrt((1.0 - P) * (1.0 + P))
     poly = (8.0 + 8.0 * P - 2.0 * P * P - 3.0 * P**3) / (8.0 * (1.0 + P) ** 2)
+    if P * P == 0.0:
+        return poly
     x = 2.0 * (1.0 + P) * ((1.0 - P) * (2.0 + P) + (2.0 - P) * u) / (P * (1.0 + P + u) ** 2)
     return poly + P * P / (4.0 * u) * math.log1p(x)
 

@@ -120,21 +120,48 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
 
     ``mat`` may also be a ``(..., 2^m, 2^m)`` stack of registers: every
     register gets the same elementwise arithmetic, so each result has the
-    bytes it would have on its own.
+    bytes it would have on its own. Each ``E_i`` is then either one 2x2
+    operator shared by the stack or a ``(batch, 2, 2)`` stack of them, one
+    per register of a ``(batch, 2^m, 2^m)`` ``mat``. A register's sum
+    still holds just the halves it would hold alone: a half that is zero in
+    every register is left out, and where it is zero in only some, their
+    results keep the other half's product as it is (added to nothing, or
+    written over the zero half's product), so no sign of zero differs.
     """
-    rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)  # axis 1: the qubit's row bit
+    ops = [e.reshape(-1, 2, 2) for e in operators]  # one per register, or one for all
+    batch = max(map(len, ops))  # axis 0 below: the operator's register
+    rows = mat.reshape(batch, -1, 2, 2 ** (m - qubit - 1) * 2**m)  # axis 2: the qubit's row bit
     half, out, part = np.empty_like(rows), np.empty_like(mat), None
-    cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))  # axis 1: its column bit
-    for n, e in enumerate(operators):
+    cols = half.reshape(batch, -1, 2, 2 ** (m - qubit - 1))  # axis 2: its column bit
+    for n, e in enumerate(ops):
+        live = [(bool(x[0][0] or x[1][1]), bool(x[0][1] or x[1][0])) for x in e.tolist()]
+        # Per register: a uses its half if not zero, d if not zero or a is
+        use_d, use_a = [d or not a for d, a in live], [a for _, a in live]
+        # (coefficients, slice step): d on X, a on flip(X), each left out if
+        # no register uses it
+        halves = [
+            (c[:, None, :, None], step)
+            for c, step, use in ((e.diagonal(0, 1, 2), 1, use_d), (e[:, :, ::-1].diagonal(0, 1, 2), -1, use_a))
+            if any(use)
+        ]
+        # With both halves in and registers that differ, a's product is
+        # added where a register uses both and written over d's where it
+        # uses a alone.
+        masks = None
+        if len(halves) == 2 and not all(use_d + use_a):
+            masks = (np.array(use_a) & use_d)[:, None, None, None], ~np.array(use_d)[:, None, None, None]
         term = np.empty_like(cols) if n else out.reshape(cols.shape)
-        for src, op, dst in ((rows, e, half), (cols, e.conj(), term)):
-            # (coefficients, slice step): d on X, a on flip(X); a zero half is left out unless both are
-            halves = [(c, step) for c, step in ((op.diagonal(), 1), (op[:, ::-1].diagonal(), -1)) if c.any()]
-            (c, step), *rest = halves or [(op.diagonal(), 1)]
-            np.multiply(c[:, None], src[:, ::step], out=dst)
-            for c, step in rest:
+        for src, conj, dst in ((rows, False, half), (cols, True, term)):
+            (c, step), *later = [(c.conj() if conj else c, step) for c, step in halves]
+            np.multiply(c, src[:, :, ::step], out=dst)
+            for c, step in later:
                 part = np.empty_like(mat) if part is None else part
-                dst += np.multiply(c[:, None], src[:, ::step], out=part.reshape(dst.shape))
+                prod = np.multiply(c, src[:, :, ::step], out=part.reshape(dst.shape))
+                if masks is None:
+                    dst += prod
+                else:
+                    np.add(dst, prod, out=dst, where=masks[0])
+                    np.copyto(dst, prod, where=masks[1])
         if n:
             out += term.reshape(out.shape)
     return out

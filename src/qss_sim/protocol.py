@@ -100,12 +100,16 @@ MAX_PARTIES = 7
 MAX_ITERATIONS = 1000
 
 # Largest stack of registers ``run_iterations`` simulates in one pass, in
-# matrix entries (1 MiB of complex128); each branch-walk level stacks half
-# as many. At 3 qubits stacking removes most of the per-call overhead; at 7
-# or 8 qubits a stack of 21 outgrew the cache and ran 20-30 % slower than
-# one register at a time, and an unbounded stack would hold every secret's
-# register in memory at once.
-STACK_ENTRIES = 2**16
+# matrix entries (128 KiB of complex128); each branch-walk level stacks half
+# as many. That is 128 registers at 3 qubits, 4 at 5 and one from 7 qubits
+# up. At 3 qubits stacking removes most of the per-call overhead; at 7 or 8
+# qubits a stack of 21 outgrew the cache and ran 20-30 % slower than one
+# register at a time. The cap also bounds memory: a ``validate --grid fine``
+# pass run as one stack per suite (625 registers in the largest) peaked at
+# 41.6 MB resident against 38.4 MB for one call per configuration; in calls
+# of at most 128 registers it peaks at 38.9 MB against 38.5 MB (medians of
+# 10 ``validate_fine`` benchmark runs).
+STACK_ENTRIES = 2**13
 
 # Branches below this (per-iteration) probability are reported but carry no
 # reconstructed state; they are never divided by.
@@ -414,13 +418,45 @@ def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
     return amps[:, :, None] * amps.conj()[:, None, :]
 
 
+def _layout(cfg: ProtocolConfig) -> tuple:
+    """What fixes the register and its operator passes: the party count,
+    the channel kind on each transmitted leg (``None`` for a noiseless
+    one), and whether protection is on."""
+    legs = range(len(cfg.transmitted_qubits))
+    kinds = tuple(None if spec is None else spec.kind for spec in map(cfg.channel_for, legs))
+    return cfg.parties, kinds, cfg.wmrqm is not None
+
+
+def _operator_passes(cfg: ProtocolConfig) -> list[tuple[int, object, tuple]]:
+    """``(qubit, key, operators)`` of each pass before the branch walk, in
+    order: the forward weak measurement, the channel and the reversal on
+    each transmitted qubit. Equal keys mean equal operators."""
+    transmitted = cfg.transmitted_qubits
+    passes = []
+    if cfg.wmrqm is not None:
+        fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
+        passes += [(q, (FORWARD_NULL, cfg.wmrqm.s), (fwd,)) for q in transmitted]
+    operators: dict[NoiseSpec, tuple] = {}
+    for i, q in enumerate(transmitted):
+        spec = cfg.channel_for(i)
+        if spec is not None:
+            if spec not in operators:
+                operators[spec] = spec.channel().operators
+            passes.append((q, spec, operators[spec]))
+    if cfg.wmrqm is not None:
+        rev = weak_op(REVERSE, cfg.wmrqm.r)
+        passes += [(q, (REVERSE, cfg.wmrqm.r), (rev,)) for q in transmitted]
+    return passes
+
+
 def _execute_iteration(
-    cfg: ProtocolConfig,
+    cfgs: Sequence[ProtocolConfig],
     secrets: Sequence[Secret],
     iteration_index: int,
     scale: float,
 ) -> tuple[list[IterationReport], list[tuple[float, tuple[str, ...]]]]:
-    """Run one iteration on the freshly encoded register of each secret.
+    """Run one iteration on the freshly encoded register of each secret,
+    the i-th under ``cfgs[i]``; the configs share one ``_layout``.
 
     ``scale`` multiplies every branch probability (joint weight of the
     history that led to this iteration). Returns the per-branch reports
@@ -428,11 +464,14 @@ def _execute_iteration(
     all of the first secret's branches, then the second's, and so on.
 
     The registers of all secrets form one stack, so each operator and
-    projection is one call over the stack. The tail is one call over every
-    leaf of every secret: the traces, then the normalisation, correction
-    and fidelity of the live branches. Every register gets the arithmetic
-    it would get alone; only the reports are built one by one, and each
-    live one checks its state through the ``DensityMatrix`` constructor.
+    projection is one call over the stack. Each distinct (channel,
+    protection) pair's operators are built once; a pass whose operators
+    differ between configs gets them as a ``(batch, 2, 2)`` stack, one per
+    register. The tail is one call over every leaf of every secret: the
+    traces, then the normalisation, correction and fidelity of the live
+    branches. Every register gets the arithmetic it would get alone; only
+    the reports are built one by one, and each live one checks its state
+    through the ``DensityMatrix`` constructor.
 
     ``_project_branches`` walks the measurements breadth-first, so branches
     that agree on their first d outcomes share one projected register, and
@@ -444,27 +483,19 @@ def _execute_iteration(
     so the leaf times ``2^k`` is its partial trace onto the reconstructor,
     bit for bit.
     """
+    cfg = cfgs[0]
     m = cfg.num_qubits
-    transmitted = cfg.transmitted_qubits
     rho = _encoded_density(secrets, cfg.parties)
 
-    if cfg.wmrqm is not None:
-        fwd = weak_op(FORWARD_NULL, cfg.wmrqm.s)
-        for q in transmitted:
-            rho = _apply_channel_matrix(rho, (fwd,), q, m)
-
-    operators: dict[NoiseSpec, tuple] = {}
-    for i, q in enumerate(transmitted):
-        spec = cfg.channel_for(i)
-        if spec is not None:
-            if spec not in operators:
-                operators[spec] = spec.channel().operators
-            rho = _apply_channel_matrix(rho, operators[spec], q, m)
-
-    if cfg.wmrqm is not None:
-        rev = weak_op(REVERSE, cfg.wmrqm.r)
-        for q in transmitted:
-            rho = _apply_channel_matrix(rho, (rev,), q, m)
+    keys = [(c.channel, c.wmrqm) for c in cfgs]
+    distinct = dict(zip(keys, cfgs))  # one config per (channel, protection) pair
+    order = {key: i for i, key in enumerate(distinct)}
+    which = [order[key] for key in keys]  # each register's distinct config
+    for passes in zip(*map(_operator_passes, distinct.values())):
+        (q, key, operators), *others = passes
+        if any(k != key for _, k, _ in others):
+            operators = [np.stack(per_config)[which] for per_config in zip(*(ops for _, _, ops in passes))]
+        rho = _apply_channel_matrix(rho, operators, q, m)
 
     labels, branches = _project_branches(rho, _measurements(cfg), m)
     leaves = [(int(lab[0]), lab[1:], _correction_key(int(lab[0]), lab[1:])) for lab in labels]
@@ -503,21 +534,37 @@ def _execute_iteration(
     return reports, chain
 
 
-def run_iterations(cfg: ProtocolConfig, secrets: Sequence[Secret]) -> list[list[IterationReport]]:
+def run_iterations(
+    cfg: ProtocolConfig | Sequence[ProtocolConfig], secrets: Sequence[Secret]
+) -> list[list[IterationReport]]:
     """``run_iteration`` for each secret, from one pass over their stacked
     registers; the report lists match a per-secret loop bit for bit.
 
-    Each secret runs on its own fresh resource, so the results do not
-    depend on which secrets share a call. Secrets are stacked
-    ``STACK_ENTRIES // 4^m`` at a time on m qubits (at least one).
+    ``cfg`` is one config for every secret, or one per secret. The configs
+    of one call must agree on ``_layout``: the party count, the channel
+    kind (pdc, adc or none) on each transmitted leg, and whether protection
+    is on; strengths may differ. Otherwise ``ValueError`` is raised before
+    anything is simulated. Each secret runs on its own fresh resource, so
+    the results do not depend on which secrets, or which configs, share a
+    call. ``iterations``, ``secrets`` and ``return_channel`` of a config
+    are not used. Registers are stacked ``STACK_ENTRIES // 4^m`` at a time
+    on m qubits (at least one).
     """
     secrets = list(secrets)
-    step = max(1, STACK_ENTRIES // 4**cfg.num_qubits)
+    cfgs = [cfg] * len(secrets) if isinstance(cfg, ProtocolConfig) else list(cfg)
+    if len(cfgs) != len(secrets):
+        raise ValueError(f"got {len(cfgs)} configs for {len(secrets)} secrets")
+    layouts = {_layout(c) for c in cfgs}
+    if len(layouts) > 1:
+        raise ValueError(f"configs of one call must share a register layout, got {sorted(layouts, key=repr)}")
+    if not cfgs:
+        return []
+    step = max(1, STACK_ENTRIES // 4 ** cfgs[0].num_qubits)
     reports: list[IterationReport] = []
     for start in range(0, len(secrets), step):
-        batch = secrets[start : start + step]
-        reports += _execute_iteration(cfg, batch, iteration_index=0, scale=1.0)[0]
-    per = 2**cfg.parties  # dealer outcome times each helper's
+        stop = start + step
+        reports += _execute_iteration(cfgs[start:stop], secrets[start:stop], iteration_index=0, scale=1.0)[0]
+    per = 2 ** cfgs[0].parties  # dealer outcome times each helper's
     return [reports[i : i + per] for i in range(0, len(reports), per)]
 
 
@@ -582,7 +629,7 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
 def start_chain(cfg: ProtocolConfig) -> tuple[ProtocolState, list[IterationReport]]:
     """Run the first iteration on ``cfg.secrets[0]`` and keep the carry-over
     state for recycling."""
-    reports, chain = _execute_iteration(cfg, cfg.secrets[:1], iteration_index=0, scale=1.0)
+    reports, chain = _execute_iteration([cfg], cfg.secrets[:1], iteration_index=0, scale=1.0)
     return ProtocolState(cfg.parties, 1, tuple(chain)), reports
 
 
@@ -655,7 +702,7 @@ def advance(
             weight += w * x
 
     reports, chain = _execute_iteration(
-        cfg, [secret], iteration_index=prev.next_iteration, scale=weight
+        [cfg], [secret], iteration_index=prev.next_iteration, scale=weight
     )
     return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
 

@@ -7,13 +7,15 @@ the worst residual. These are the checks behind ``qss-sim validate``. The
 ``avg_f_opt0`` row is informational: it reports how far the exact log form
 lies from the direct quadrature, one scalar integral per grid point.
 
-A suite simulates its whole k-grid (or quadrature nodes) of one (channel,
-protection) configuration in one ``run_iterations`` call, on a stack of
-3-qubit registers: each operator, and each branch's trace, correction and
-fidelity, is one array operation over the stack, and only the branch
-reports are built per point. It then walks its points in grid order, so
-residuals, worst points and the report bytes are those of one simulation
-per point.
+A suite simulates its whole grid at once: every (channel, protection)
+configuration on every ``k`` (or quadrature node), a config per secret, in
+``run_iterations`` calls of at most ``protocol.STACK_ENTRIES`` entries (128
+3-qubit registers), about 13 calls a fine pass. Within a call each operator
+pass, with its strengths stacked per register where they differ, and each
+branch's trace, correction and fidelity, is one array operation over the
+stack, and only the branch reports are built per point. The suite then
+walks its points in grid order, so residuals, worst points and the report
+bytes are those of one simulation per point.
 
 Tolerances here are fixed per formula. The suites call each closed form
 they check through this module's own name for it (``validate.f_pd`` and so
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import analysis
+from . import analysis, protocol
 from .analysis import avg_f1, avg_f_ad, avg_f_pd, f0_ww, f1_ww, f_ad, f_ad_outcome1, f_pd, r_opt, sp1, sp2
 from .optimize import ScalarObjective, maximize_scalar
 from .protocol import NoiseSpec, ProtocolConfig, Secret, Wmrqm, left_sum, run_iterations
@@ -61,36 +63,49 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def _branch_fidelities(
-    ks: tuple[float, ...], channel: NoiseSpec | None, wmrqm: Wmrqm | None
-) -> tuple[dict, ...]:
+    ks: tuple[float, ...], grid: tuple[tuple[NoiseSpec | None, Wmrqm | None], ...]
+) -> tuple[tuple[dict, ...], ...]:
     """Simulator (fidelity, probability) per branch of a 2-receiver run, one
-    dict per secret ``k`` in ``ks``.
+    dict per secret ``k`` in ``ks``, for each (channel, protection) pair of
+    ``grid`` in order.
 
     This is the suites' only simulator entry point. A suite asks for its
-    whole k-grid of one (channel, protection) configuration at once, and
-    ``run_iterations`` simulates those secrets in one pass over their
-    stacked registers, with the bytes each would get on its own. It is
-    memoized because suites share configurations: f0_ww, f1_ww and sp2
-    read the same adc + protection grid, f_ad and its outcome-1 form the
-    same adc grid, and the phase-damping check integrates two views of
-    each run. The memo lives for one ``run_all`` call: it is cleared when
-    the call starts and when it returns. Within a run each configuration is
-    simulated once; a memo kept across runs would let a repeated
-    ``validate`` in the same process skip the simulator and check nothing
-    new. Every caller shares the returned dicts and only reads them.
+    whole grid at once, every pair on every ``k``, and ``run_iterations``
+    simulates it, a config per secret, in calls of at most
+    ``protocol.STACK_ENTRIES`` entries (128 3-qubit registers), with the
+    bytes each would get on its own; a suite's pairs share one register
+    layout. Each call's reports are read into the dicts and dropped before
+    the next call, so the reports of a whole grid are never held at once.
+    It is memoized because suites share grids:
+    f0_ww, f1_ww and sp2 read the same adc + protection grid, f_ad and its
+    outcome-1 form the same adc grid, and the phase-damping check
+    integrates two views of each run. The memo lives for one ``run_all``
+    call: it is cleared when the call starts and when it returns. Within a
+    run each configuration is simulated once; a memo kept across runs would
+    let a repeated ``validate`` in the same process skip the simulator and
+    check nothing new. Every caller shares the returned dicts and only
+    reads them.
     """
     secrets = [Secret.from_k(k) for k in ks]
-    cfg = ProtocolConfig(parties=2, secrets=secrets[:1], channel=channel, wmrqm=wmrqm)
-    return tuple(
-        {
-            (r.alice_outcome, r.collaborator_outcomes[0]): (
-                r.fidelity if r.fidelity is not None else float("nan"),
-                r.branch_probability,
-            )
-            for r in reports
-        }
-        for reports in run_iterations(cfg, secrets)
-    )
+    cfgs = [
+        ProtocolConfig(parties=2, secrets=secrets[:1], channel=channel, wmrqm=wmrqm)
+        for channel, wmrqm in grid
+    ]
+    pairs = [(cfg, secret) for cfg in cfgs for secret in secrets]
+    step = protocol.STACK_ENTRIES // 4**3  # 3-qubit registers per call
+    sims = []
+    for start in range(0, len(pairs), step):
+        sims += [
+            {
+                (r.alice_outcome, r.collaborator_outcomes[0]): (
+                    r.fidelity if r.fidelity is not None else float("nan"),
+                    r.branch_probability,
+                )
+                for r in reports
+            }
+            for reports in run_iterations(*zip(*pairs[start : start + step]))
+        ]
+    return tuple(tuple(sims[i : i + len(ks)]) for i in range(0, len(sims), len(ks)))
 
 
 def _survival(sim: dict) -> float:
@@ -128,7 +143,7 @@ def _suite_branch_formula(
 ) -> CheckResult:
     def residuals():
         ks = tuple(_grid(0.0, 1.0, n))
-        sims = {q: _branch_fidelities(ks, NoiseSpec(kind, q), None) for q in ks}
+        sims = dict(zip(ks, _branch_fidelities(ks, tuple((NoiseSpec(kind, q), None) for q in ks))))
         for (i, k), q in product(enumerate(ks), ks):
             sim = sims[q][i]
             expected = formula(k, q)
@@ -142,10 +157,9 @@ def _protected_adc_grid(n: int) -> tuple[tuple[float, ...], dict]:
     """The k-grid of the protected adc suites, and its simulation at each
     ``(s, r, p)`` on the same grid."""
     ks = tuple(_grid(0.1, 0.9, n))
-    return ks, {
-        (s, r, p): _branch_fidelities(ks, NoiseSpec("adc", p), Wmrqm(s, r))
-        for s, r, p in product(ks, repeat=3)
-    }
+    grid = tuple(product(ks, repeat=3))
+    sims = _branch_fidelities(ks, tuple((NoiseSpec("adc", p), Wmrqm(s, r)) for s, r, p in grid))
+    return ks, dict(zip(grid, sims))
 
 
 def _suite_wmrqm_fidelity(
@@ -167,7 +181,7 @@ def _suite_wmrqm_fidelity(
 
 def _suite_sp1(sp1: Callable, tol: float) -> CheckResult:
     ks = tuple(_grid(0.0, 1.0, 11))
-    sims = {s: _branch_fidelities(ks, None, Wmrqm(s, 0.0)) for s in ks}
+    sims = dict(zip(ks, _branch_fidelities(ks, tuple((None, Wmrqm(s, 0.0)) for s in ks))))
     return _worst("sp1 vs simulated trace", tol, (
         (f"k={k:g}, s={s:g}", abs(_survival(sims[s][i]) - sp1(k, s)))
         for (i, k), s in product(enumerate(ks), ks)
@@ -252,19 +266,26 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
 
     nodes = 21
     views = (("branch0", lambda sim: sim[(0, "+")][0]), ("aggregate", aggregate))
-    gains = []
-    for q in (0.25, 0.6, 1.0):
-        base = gauss_legendre(_per_node(lambda k: analysis.f_pd(k, q)), 0.0, 1.0, n=nodes)
-        for s, r in product(_grid(0.0, 0.7, n), repeat=2):
-            for which, view in views:
-                protected = gauss_legendre(
-                    lambda ks: [
-                        view(sim) for sim in
-                        _branch_fidelities(tuple(ks.tolist()), NoiseSpec("pdc", q), Wmrqm(s, r))
-                    ],
-                    0.0, 1.0, n=nodes,
-                )
-                gains.append((protected - base, f"q={q:g}, s={s:g}, r={r:g}, {which}"))
+    strengths = (0.25, 0.6, 1.0)
+    grid = [(q, s, r) for q in strengths for s, r in product(_grid(0.0, 0.7, n), repeat=2)]
+    pairs = tuple((NoiseSpec("pdc", q), Wmrqm(s, r)) for q, s, r in grid)
+
+    def protected(view: Callable[[dict], float]) -> list[float]:
+        """The average of ``view`` at every grid point, from one call of
+        the integrand: a panel per point, each over [0, 1], so every row of
+        nodes is the same, and the grid is simulated on the first row."""
+        def integrand(ks: np.ndarray) -> list[list[float]]:
+            return [[view(sim) for sim in sims] for sims in _branch_fidelities(tuple(ks[0].tolist()), pairs)]
+
+        return gauss_legendre(integrand, [0.0] * len(grid), [1.0] * len(grid), n=nodes)
+
+    base = {q: gauss_legendre(_per_node(lambda k: analysis.f_pd(k, q)), 0.0, 1.0, n=nodes) for q in strengths}
+    averages = [(which, protected(view)) for which, view in views]
+    gains = [
+        (average[i] - base[q], f"q={q:g}, s={s:g}, r={r:g}, {which}")
+        for i, (q, s, r) in enumerate(grid)
+        for which, average in averages
+    ]
     worst_gain, worst_at = max(gains, key=lambda gain: gain[0])
     return CheckResult(
         "phase damping: protection never improves the average",

@@ -100,6 +100,19 @@ def random_density(rng, m, rank=None):
     return DensityMatrix(mat / mat.trace().real)
 
 
+def register_stack(m, rng, batch=None):
+    """A stack of m-qubit matrices with negative, zero and signed-zero parts:
+    ``batch`` of them, or 3 (2 at 8 qubits)."""
+    shape = (batch or (2 if m == 8 else 3), 2**m, 2**m)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pick = rng.integers(0, 8, size=shape)
+    stack[pick == 0] = 0.0
+    stack[pick == 1] = complex(-0.0, 0.0)
+    stack[pick == 2] = complex(0.0, -0.0)
+    stack[pick == 3] = stack[pick == 3].real
+    return stack
+
+
 def random_secret(rng):
     """Random complex-amplitude secret."""
     v = rng.normal(size=2) + 1j * rng.normal(size=2)

@@ -43,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import partial_trace_oracle, random_density
+from conftest import partial_trace_oracle, random_density, register_stack
 from qss_sim import protocol
 from qss_sim.channels import FORWARD_NULL, REVERSE, _apply_channel_matrix, adc, pdc, weak_op
 from qss_sim.linalg import (
@@ -371,6 +371,83 @@ def test_run_iterations_equals_a_loop_of_run_iteration(parties, data):
         assert_bits_equal(reports, run_iteration(cfg, secret))
 
 
+@st.composite
+def mixed_config_stacks(draw, parties):
+    """Configs of one register layout with strengths of their own, each
+    paired with a secret: a kind (or none) per leg and protection on or
+    off are drawn once, then every config draws its strengths, 0 and 1
+    among them. A leg list of one kind may be given as one spec."""
+    kinds = draw(st.tuples(*[st.sampled_from([None, "pdc", "adc"])] * parties))
+    protected = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(1, 12 if parties < 4 else 6))):
+        legs = tuple(None if kind is None else NoiseSpec(kind, draw(edge | unit)) for kind in kinds)
+        channel = legs[0] if len(set(legs)) == 1 and draw(st.booleans()) else legs
+        wmrqm = draw(st.builds(Wmrqm, edge | unit, edge | unit)) if protected else None
+        pairs.append((ProtocolConfig(parties=parties, secrets=(Secret(1.0, 0.0),), channel=channel, wmrqm=wmrqm), draw(secrets())))
+    return pairs
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_run_iterations_on_mixed_configs_equals_a_loop_of_run_iteration(parties, data):
+    """A stack of configs that differ in strengths gives each (config,
+    secret) pair the bytes it gets alone, split to ``STACK_ENTRIES`` or
+    run whole."""
+    pairs = data.draw(mixed_config_stacks(parties))
+    cfgs, batch = zip(*pairs)
+    stack = protocol.STACK_ENTRIES * data.draw(st.sampled_from([4**-4, 1]))
+    with mock.patch.object(protocol, "STACK_ENTRIES", int(stack)):
+        batched = run_iterations(cfgs, batch)
+    assert len(batched) == len(pairs)
+    for reports, (cfg, secret) in zip(batched, pairs):
+        assert_bits_equal(reports, run_iteration(cfg, secret))
+
+
+def test_mixed_configs_keep_their_own_zero_branches():
+    """Full reversal empties the dealer-outcome-1 branches of its config
+    only; amplitude damping at 0 and 1 sits next to 0.5 on the same legs."""
+    h = 2**-0.5
+    cfgs = [
+        ProtocolConfig(parties=3, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("adc", p), wmrqm=Wmrqm(0.3, r))
+        for p, r in ((0.5, 1.0), (0.0, 0.4), (1.0, 1.0), (0.5, 0.0), (1.0, 0.25))
+    ]
+    batch = [Secret(h, 1j * h), Secret(0.0, 1.0), Secret(0.6, 0.8), Secret(5e-324, 1.0), Secret(1.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batched = run_iterations(cfgs, batch)
+    for reports, cfg, secret in zip(batched, cfgs, batch):
+        zero = [r.reconstructed_state is None for r in reports[4:]]
+        assert all(zero) == (cfg.wmrqm.r == 1.0)
+        assert_bits_equal(reports, run_iteration(cfg, secret))
+
+
+LAYOUT_MISMATCHES = {
+    "parties": ProtocolConfig(parties=3, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("adc", 0.5)),
+    "kind": ProtocolConfig(parties=2, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("pdc", 0.5)),
+    "noiseless leg": ProtocolConfig(parties=2, secrets=(Secret(1.0, 0.0),), channel=(NoiseSpec("adc", 0.5), None)),
+    "protection": ProtocolConfig(
+        parties=2, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("adc", 0.5), wmrqm=Wmrqm(0.0, 0.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MISMATCHES))
+def test_configs_of_another_layout_are_refused_before_simulating(name):
+    base = ProtocolConfig(parties=2, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("adc", 0.25))
+    cfgs = [base, LAYOUT_MISMATCHES[name], base]
+    with mock.patch.object(protocol, "_encoded_density", side_effect=AssertionError("simulated")):
+        with pytest.raises(ValueError, match="register layout"):
+            run_iterations(cfgs, [Secret.from_k(0.3)] * 3)
+
+
+def test_one_config_per_secret():
+    cfg = ProtocolConfig(parties=2, secrets=(Secret(1.0, 0.0),))
+    with pytest.raises(ValueError, match="2 configs for 3 secrets"):
+        run_iterations([cfg, cfg], [Secret.from_k(0.3)] * 3)
+
+
 @pytest.mark.parametrize("parties", range(2, 8))
 @settings(max_examples=6, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
@@ -611,18 +688,6 @@ _SANDWICH_OPERATOR_SETS = {
     "X": (PAULI_X,),
     "-iY": (MINUS_I_PAULI_Y,),
 }
-
-
-def register_stack(m, rng):
-    """A stack of m-qubit matrices with negative, zero and signed-zero parts."""
-    shape = (2 if m == 8 else 3, 2**m, 2**m)
-    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    pick = rng.integers(0, 8, size=shape)
-    stack[pick == 0] = 0.0
-    stack[pick == 1] = complex(-0.0, 0.0)
-    stack[pick == 2] = complex(0.0, -0.0)
-    stack[pick == 3] = stack[pick == 3].real
-    return stack
 
 
 @pytest.mark.parametrize("m", range(1, 9))

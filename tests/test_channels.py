@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density
+from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density, register_stack
 from qss_sim.channels import (
     FORWARD_CLICK,
     FORWARD_NULL,
@@ -15,7 +15,7 @@ from qss_sim.channels import (
     validate_cptp,
     weak_op,
 )
-from qss_sim.linalg import ID2, KET_PLUS, DensityMatrix
+from qss_sim.linalg import ID2, KET_PLUS, PAULI_X, DensityMatrix
 from qss_sim.protocol import Secret, encode_secret, make_resource
 
 
@@ -106,6 +106,40 @@ class TestApplyChannel:
         ) * prob
         assert_allclose(bob, expected, atol=1e-12)
         assert prob == pytest.approx(0.25, abs=1e-12)
+
+
+# Kraus sets of one kind, one per register of a stack. A half of an
+# operator (its diagonal or anti-diagonal) that is zero in some registers
+# and not in others is computed for the stack, and must leave those
+# registers' bytes as their own calls leave them.
+MIXED_KRAUS_SETS = {
+    # K1's anti-diagonal: zero at p = 0 only, where K1 is all zero
+    "adc p=0 next to p=0.5": [adc(0.0).operators, adc(0.5).operators],
+    "adc edges": [adc(x).operators for x in (0.0, 5e-324, 0.5, 1.0)],
+    "pdc edges": [pdc(x).operators for x in (1.0, 0.0, 0.37)],
+    "forward null": [(weak_op(FORWARD_NULL, x),) for x in (0.0, 0.3, 1.0)],
+    "reverse": [(weak_op(REVERSE, x),) for x in (1.0, 0.45, 0.0)],
+    # one register's diagonal is zero, the other's anti-diagonal
+    "X next to I": [(PAULI_X,), (ID2,)],
+    "X next to zero": [(PAULI_X,), (np.zeros((2, 2), dtype=complex),)],
+    "X, I and a full operator": [(PAULI_X,), (ID2,), (np.array([[0.6, 0.8j], [-0.8j, 0.6]]),)],
+    "projectors": [(PROJECTORS["computational"]["0"],), (PROJECTORS["computational"]["1"],)],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MIXED_KRAUS_SETS))
+def test_per_register_operators_equal_per_register_calls(m, name):
+    """``(batch, 2, 2)`` operators, one per register, give every register the
+    bytes of its own call with its own 2x2 operators, at every qubit."""
+    kinds = MIXED_KRAUS_SETS[name]
+    per_register = [kinds[i % len(kinds)] for i in range(2 * len(kinds) + 1)]
+    stack = register_stack(m, np.random.default_rng(m), len(per_register))
+    operators = [np.stack(ops) for ops in zip(*per_register)]
+    for q in range(m):
+        stacked = _apply_channel_matrix(stack, operators, q, m)
+        for mat, ops, out in zip(stack, per_register, stacked):
+            assert out.tobytes() == _apply_channel_matrix(mat, ops, q, m).tobytes(), (name, q)
 
 
 class TestWeakOps:

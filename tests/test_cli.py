@@ -586,10 +586,11 @@ class TestValidationMachinery:
         configs, calls = [], []
         real = v.run_iterations
 
-        def counting(cfg, secrets):
-            calls.append((cfg.channel, cfg.wmrqm))
-            configs.extend((secret, cfg.channel, cfg.wmrqm) for secret in secrets)
-            return real(cfg, secrets)
+        def counting(cfgs, secrets):
+            pairs = [(secret, cfg.channel, cfg.wmrqm) for cfg, secret in zip(cfgs, secrets)]
+            calls.append(pairs)
+            configs.extend(pairs)
+            return real(cfgs, secrets)
 
         monkeypatch.setattr(v, "run_iterations", counting)
         for _ in range(2):  # nothing is reused from the first run
@@ -598,8 +599,11 @@ class TestValidationMachinery:
             v.run_all(grid="coarse")
             # 36 pdc + 36 adc + 81 adc with protection + 121 sp1 + 3 * 9 * 21 quadrature nodes
             assert len(configs) == len(set(configs)) == 841
-            # one call per (channel, protection) config: 6 + 6 + 27 + 11 + 3 * 9
-            assert len(calls) == len(set(calls)) == 77
+            # each suite's whole grid, in calls of at most 128 3-qubit registers:
+            # 6 * 6, 6 * 6, 27 * 3, 11 * 11, then 27 * 21 = 567 in five
+            assert [len(pairs) for pairs in calls] == [36, 36, 81, 121, 128, 128, 128, 128, 55]
+            # and each call's configs share one register layout
+            assert [len({(ch.kind if ch else None, w is None) for _, ch, w in pairs}) for pairs in calls] == [1] * 9
 
     def test_every_override_reaches_its_suite(self, monkeypatch):
         from qss_sim import validate as v

@@ -115,6 +115,14 @@ class TestAgainstTheReference:
             assert abs(direct - success_reference(p, s)) < mpf(10) ** -40 * direct
 
 
+class TestUnderflow:
+    @pytest.mark.parametrize("p, s", [(1e-308, 0.0), (5e-324, 0.0), (5e-324, 0.5)])
+    def test_fidelity_form_is_one_where_P_squared_underflows(self, p, s):
+        # log1p's argument, about 2/P, overflows from P ~ 1e-308 (and P rounds
+        # to 0 at the last point), while the log term is far below an ulp of 1.
+        assert avg_f_opt0_closed_form(p, s) == 1.0
+
+
 class TestDependenceOnP:
     # The second point of each pair has s = 0 and p = P of the first.
     PAIRS = [(0.6, 0.5), (0.8, 0.75), (0.9, 0.3), (0.95, 0.1)]
