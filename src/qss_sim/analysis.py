@@ -17,14 +17,15 @@ Every quantity here is a function of the secret parameter
 Each closed form is cross-validated against the brute-force density-matrix
 simulator by the ``validate`` command and the test suite.
 
-A closed form takes floats and returns a Python float. ``r_opt``,
-``f0_ww``, ``sp2`` and ``in_validity_region``, the pieces of the
-optimal-reversal integrand, also take ``numpy`` arrays (broadcast against
-each other and against floats) and return one value per element, so a
-quadrature evaluates all its nodes in one call; an array gets the same
-domain checks on every element and raises ``DomainError`` if any element
-fails them. The array expressions keep the scalar operand order, so each
-element equals the scalar call's value bit for bit.
+A closed form takes floats and returns a Python float. The pointwise
+forms ``f_pd``, ``f_ad``, ``f_ad_outcome1``, ``f0_ww``, ``f1_ww``, ``sp2``,
+``r_opt`` and ``in_validity_region`` also take ``numpy`` arrays (broadcast
+against each other and against floats) and return one value per element,
+so a quadrature evaluates all its nodes, and ``validate`` an argmax's whole
+grid, in one call; an array gets the same domain checks on every element
+and raises ``DomainError`` naming the first element that fails them. The
+array expressions keep the scalar operand order, and write squares as
+products, so each element equals the scalar call's value bit for bit.
 
 The averages over the optimality region depend on ``(p, s)`` only through
 ``P = p(1-s)``: ``avg_f_opt0_closed_form`` is a function of ``P`` alone,
@@ -106,16 +107,19 @@ def _require(ok: bool | np.ndarray, message: str, *values: FloatOrArray) -> None
     raise DomainError(message.format(*values))
 
 
-def f_pd(k: float, q: float) -> float:
+def f_pd(k: FloatOrArray, q: FloatOrArray) -> FloatOrArray:
     """Reconstruction fidelity under phase damping of strength ``q``.
 
     ``k^2 + (1-k)^2 + 2(1-q)^2 k(1-k)``; the same value holds on every
     measurement branch because the corrections map all of them onto one
-    another exactly.
+    another exactly. Takes floats or arrays. Each square is a product: a
+    float's ``** 2`` is ``pow``, which can round differently from the
+    product an array's ``** 2`` is.
     """
     k = _unit(k, "k")
     q = _unit(q, "q")
-    return k * k + (1 - k) ** 2 + 2 * (1 - q) ** 2 * k * (1 - k)
+    kb, qb = 1 - k, 1 - q
+    return k * k + kb * kb + 2 * (qb * qb) * k * kb
 
 
 def avg_f_pd(q: float) -> float:
@@ -128,24 +132,25 @@ def avg_f_pd(q: float) -> float:
     return (2.0 + (1.0 - q) ** 2) / 3.0
 
 
-def f_ad(k: float, p: float) -> float:
+def f_ad(k: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Amplitude-damping fidelity on the dealer-outcome-0 branches.
 
     ``k + (1-p)(1-k)``: the ``|0>`` component survives untouched, the
-    ``|1>`` component decays.
+    ``|1>`` component decays. Takes floats or arrays.
     """
     k = _unit(k, "k")
     p = _unit(p, "p")
     return k + (1.0 - p) * (1.0 - k)
 
 
-def f_ad_outcome1(k: float, p: float) -> float:
+def f_ad_outcome1(k: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Amplitude-damping fidelity on the dealer-outcome-1 branches.
 
     After the bit-flip correction these branches give ``1 - p k``, not the
     outcome-0 value; the two expressions share the average ``1 - p/2``.
     Frozen from the simulator (the four branch states cannot be mapped onto
-    a single one by unitaries under amplitude damping).
+    a single one by unitaries under amplitude damping). Takes floats or
+    arrays.
     """
     k = _unit(k, "k")
     p = _unit(p, "p")
@@ -278,13 +283,15 @@ def avg_f_opt0(p: float, s: float) -> float:
     i.e. without renormalizing by the region length, matching the
     convention of the other secret averages (whose range is all of
     ``[0, 1]``). This quadrature defines the average; the figures use its
-    exact form, ``avg_f_opt0_closed_form``.
+    exact form, ``avg_f_opt0_closed_form``. Each node's ``r_opt`` is clipped
+    into ``[0, 1]``: below ``P = p(1-s)`` of about 1e-17 it rounds to a few
+    ulps under 0 at some nodes.
     """
     p, s = _region_domain(p, s)
     lower, split = region_bounds(p, s)
 
     def integrand(k: np.ndarray) -> np.ndarray:
-        return f0_ww(k, s, r_opt(k, s, p), p)
+        return f0_ww(k, s, np.clip(r_opt(k, s, p), 0.0, 1.0), p)
 
     return adaptive_gauss_legendre(integrand, lower, split, 1.0, tol=1e-11)
 
@@ -359,20 +366,26 @@ def avg_success_opt0(p: float, s: float) -> float:
     return ((1.0 - p) * (1.0 - s)) ** 2 * _success_form(p * (1.0 - s))
 
 
-def _check_off_pole(p: float, r: float) -> None:
+_POLE_MESSAGE = f"p={{}}, r={{}} is within {POLE_ATOL:g} of the singular point pr = 1"
+
+
+def _check_off_pole(p: FloatOrArray, r: FloatOrArray) -> None:
     """Refuse ``(p, r)`` within ``POLE_ATOL`` of the pole at ``pr = 1``,
     where cancellation would cost more accuracy than the protected
-    fidelities are held to (see ``tolerances.POLE_ATOL``)."""
-    if abs(1.0 - p * r) < POLE_ATOL:
-        raise DomainError(f"p={p}, r={r} is within {POLE_ATOL:g} of the singular point pr = 1")
+    fidelities are held to (see ``tolerances.POLE_ATOL``); an array names
+    its first such element."""
+    ok = abs(1.0 - p * r) >= POLE_ATOL
+    if ok is not True:  # an array, or a float on the pole; a float off it costs no call
+        _require(ok, _POLE_MESSAGE, p, r)
 
 
-def f1_ww(k: float, r: float, p: float) -> float:
+def f1_ww(k: FloatOrArray, r: FloatOrArray, p: FloatOrArray) -> FloatOrArray:
     """Protected fidelity on the dealer-outcome-1 branches.
 
     ``(p(k + r - kr) - 1)/(pr - 1)``: the forward strength drops out
     entirely, and ``r = 1`` restores fidelity one for every ``k`` and
-    ``p < 1`` (at the price of a vanishing branch probability).
+    ``p < 1`` (at the price of a vanishing branch probability). Takes
+    floats or arrays.
     """
     k = _unit(k, "k")
     r = _unit(r, "r")

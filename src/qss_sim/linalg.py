@@ -20,6 +20,7 @@ under another.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -91,15 +92,51 @@ def _check_norms(norm2: np.ndarray) -> None:
         raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2[bad][0]}")
 
 
-def _min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, read from its lower
-    triangle as ``eigvalsh`` reads it. A 2x2 one has the closed form
-    ``(a+d)/2 - hypot((a-d)/2, |b|)``, within a few ``eps * |M|`` of
-    ``eigvalsh``; larger ones use ``eigvalsh``."""
-    if mat.shape == (2, 2):
-        (a, _), (b, d) = mat.tolist()
-        return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
-    return float(np.linalg.eigvalsh(mat)[0])
+def _qubit_min_eigenvalue(a: complex, b: complex, d: complex) -> float:
+    """Smallest eigenvalue of a Hermitian 2x2 matrix, read from its lower
+    triangle (diagonal ``a``, ``d`` and ``b`` below it) as ``eigvalsh``
+    reads it: ``(a+d)/2 - hypot((a-d)/2, |b|)``, within a few ``eps * |M|``
+    of ``eigvalsh``."""
+    return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+
+
+def _checked_trace(mat: np.ndarray) -> float:
+    """The trace of a square ``mat``, once it is checked to have finite
+    entries, to be Hermitian to ``ATOL``, positive semidefinite to
+    ``-ATOL`` and of trace in ``(0, 1 + ATOL]``, in that order; the first
+    check that fails raises ``ValueError``.
+
+    A 2x2 ``mat`` is checked on its four entries read once as Python
+    scalars, which costs less than array operations on so small a matrix.
+    Its Hermitian residual is ``abs`` of the same complex differences, but
+    Python's ``abs`` and numpy's can differ in the last bit. Larger
+    matrices are checked with array operations and ``eigvalsh``.
+    """
+    qubit = mat.shape == (2, 2)
+    if qubit:
+        (a, c), (b, d) = mat.tolist()
+        finite = all(map(cmath.isfinite, (a, c, b, d)))
+    else:
+        finite = np.isfinite(mat).all()
+    if not finite:
+        raise ValueError("density matrix entries must be finite")
+    if qubit:
+        try:
+            off = abs(c - b.conjugate())
+        except OverflowError:  # finite parts whose modulus is beyond the largest float
+            off = math.inf
+        herm = max(abs(a - a.conjugate()), off, abs(d - d.conjugate()))
+    else:
+        herm = float(np.abs(mat - dagger(mat)).max())
+    if herm > ATOL:
+        raise ValueError(f"matrix is not Hermitian: residual {herm}")
+    lo = _qubit_min_eigenvalue(a, b, d) if qubit else float(np.linalg.eigvalsh(mat)[0])
+    if not lo >= -ATOL:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo}")
+    tr = a.real + d.real if qubit else float(mat.trace().real)
+    if not 0.0 < tr <= 1.0 + ATOL:
+        raise ValueError(f"trace must lie in (0, 1], got {tr}")
+    return tr
 
 
 def _num_qubits(dim: int) -> int:
@@ -138,10 +175,11 @@ class DensityMatrix:
     zero is not representable; zero-probability branches must be handled by
     the caller before constructing a state. Every entry must be finite.
 
-    Positivity is checked on the smallest eigenvalue, to ``-ATOL``. For a
-    2x2 matrix (every branch state the simulator reports) that is the
-    closed form ``(a+d)/2 - hypot((a-d)/2, |b|)``; larger matrices use
-    ``eigvalsh``.
+    Positivity is checked on the smallest eigenvalue, to ``-ATOL``. A 2x2
+    matrix (every branch state the simulator reports) is checked on its
+    four entries as Python scalars, its smallest eigenvalue from the closed
+    form ``(a+d)/2 - hypot((a-d)/2, |b|)``; larger matrices use array
+    operations and ``eigvalsh`` (see ``_checked_trace``).
     """
 
     matrix: np.ndarray
@@ -152,19 +190,8 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         _num_qubits(mat.shape[0])
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix entries must be finite")
-        herm = float(np.abs(mat - dagger(mat)).max())
-        if herm > ATOL:
-            raise ValueError(f"matrix is not Hermitian: residual {herm}")
-        lo = _min_eigenvalue(mat)
-        if not lo >= -ATOL:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo}")
-        tr = float(mat.trace().real)
-        if not 0.0 < tr <= 1.0 + ATOL:
-            raise ValueError(f"trace must lie in (0, 1], got {tr}")
+        object.__setattr__(self, "trace", _checked_trace(mat))
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "trace", tr)
 
     @property
     def dim(self) -> int:
@@ -215,17 +242,19 @@ def embed(op: np.ndarray, targets: Sequence[int], m: int) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(2**m, 2**m))
 
 
-def su2(theta: float, phi: float, lam: float) -> np.ndarray:
+def su2(theta: float | np.ndarray, phi: float | np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Single-qubit unitary from three angles.
 
     ``su2(0, 0, 0)`` is the identity and ``su2(pi, 0, pi)`` is the bit
-    flip. Global phase is omitted; it never affects a fidelity.
+    flip. Global phase is omitted; it never affects a fidelity. Array
+    angles broadcast against each other and give a stack of shape
+    ``angles + (2, 2)``.
     """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
+    u = np.array(
+        np.broadcast_arrays(
+            c, -np.exp(1j * lam) * s, np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c
+        ),
         dtype=complex,
     )
+    return np.moveaxis(u, 0, -1).reshape(u.shape[1:] + (2, 2))

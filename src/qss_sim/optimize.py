@@ -10,6 +10,14 @@ Three maximizers are provided:
 * ``best_correction``, the exact global optimum of that same objective,
   which certifies the table value without a search.
 
+Both searches run one golden-section loop, ``_golden_max``, over arrays of
+brackets that step together (Kiefer's search needs only elementwise
+compares), so each step is one call of the objective whatever the number
+of brackets; every element gets the steps and the bits of a scalar loop
+on its own bracket. ``ScalarObjective.fn`` is therefore called on arrays,
+not floats, and may describe a whole batch of objectives: ``validate``
+maximizes ``f0_ww`` over ``r`` at every grid point in one call.
+
 The correction search scores a candidate unitary by the average fidelity it
 achieves over the family of unknown secrets: uniform in the population
 ``k`` and uniform in the relative phase, i.e. Haar-distributed pure qubits.
@@ -73,9 +81,16 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ScalarObjective:
-    """Scalar function to maximize on a closed interval."""
+    """Function to maximize on a closed interval, or a batch of them.
 
-    fn: Callable[[float], float]
+    ``fn`` is called on arrays and must answer elementwise: first on the
+    ``(grid,)`` array of grid points, then on arrays of points of shape
+    ``batch + (1,)``. A scalar objective returns ``(grid,)`` and ``batch``
+    is ``()``; a batched one broadcasts its own parameters with shape
+    ``batch + (1,)``, so it returns ``batch + (grid,)`` on the grid.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
     tolerance: float = 1e-10
@@ -87,39 +102,65 @@ class ScalarObjective:
             raise ValueError("tolerance must be positive")
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
+def _golden_max(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximum of ``f`` on each bracket ``[a[i], b[i]]``.
+
+    The brackets step together, one call of ``f`` per step on an array of
+    points; a bracket narrower than ``tol`` is frozen while the others go on
+    (``f`` still sees a point of it, one it has already been given). Each
+    element takes the steps, and gets the bits, of a scalar loop on its
+    own bracket.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    live = b - a > tol
+    while live.any():
+        left = live & (fc > fd)  # the maximum is in [a, d]: keep c as the new d
+        right = live & ~left  # it is in [c, b]: keep d as the new c
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d, fc, fd = (
+            np.where(right, d, c), np.where(left, c, d), np.where(right, fd, fc), np.where(left, fc, fd)
+        )
+        x = np.where(left, b - _INVPHI * (b - a), np.where(right, a + _INVPHI * (b - a), c))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = b - a > tol
     x = 0.5 * (a + b)
     return x, f(x)
 
 
-def maximize_scalar(obj: ScalarObjective, grid: int = 64) -> tuple[float, float]:
+def maximize_scalar(
+    obj: ScalarObjective, grid: int = 64
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Global maximum via coarse grid plus golden-section refinement.
 
     Exact for unimodal objectives; for multimodal ones the grid picks the
-    basin. Boundary maxima are found to the same tolerance.
+    basin. Boundary maxima are found to the same tolerance. ``obj.fn`` is
+    called once on the whole grid and once per golden step, for every
+    objective of a batch together (see ``ScalarObjective``). Returns
+    ``(argmax, max)`` as floats for a scalar objective and as arrays of
+    shape ``batch`` for a batched one.
     """
     xs = np.linspace(obj.lower, obj.upper, grid)
-    values = [obj.fn(float(x)) for x in xs]
-    best = int(np.argmax(values))
+    values = obj.fn(xs)
+    best = np.argmax(values, axis=-1)[..., np.newaxis]
+    x_best = xs[best]
+    f_best = np.take_along_axis(values, best, axis=-1)
     step = (obj.upper - obj.lower) / (grid - 1)
-    a = max(obj.lower, xs[best] - step)
-    b = min(obj.upper, xs[best] + step)
+    a = np.maximum(obj.lower, x_best - step)
+    b = np.minimum(obj.upper, x_best + step)
     x, fx = _golden_max(obj.fn, a, b, obj.tolerance)
-    if values[best] > fx:
-        return float(xs[best]), values[best]
-    return x, fx
+    grid_wins = f_best > fx
+    x, fx = np.where(grid_wins, x_best, x)[..., 0], np.where(grid_wins, f_best, fx)[..., 0]
+    if x.ndim:
+        return x, fx
+    return float(x), float(fx)
 
 
 @dataclass(frozen=True)
@@ -237,41 +278,38 @@ def optimize_correction(
 
     Searches the three-angle unitary family on a coarse grid, then refines
     the ``restarts`` best grid points by cyclic golden-section sweeps over
-    the angles. Global phase is not parameterized; it cannot change the
-    objective.
+    the angles. The restarts step together: each golden step scores one
+    trial unitary per restart in one ``batch_values`` call. Global phase is
+    not parameterized; it cannot change the objective.
     """
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     lams = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     combos = np.array(np.meshgrid(thetas, phis, lams, indexing="ij")).reshape(3, -1).T
-    us = np.array([su2(*angles) for angles in combos])
-    coarse = obj.batch_values(us)
+    coarse = obj.batch_values(su2(*combos.T))
     order = np.argsort(coarse)[::-1][:restarts]
 
     steps = (np.pi / (grid - 1), 2.0 * np.pi / grid, 2.0 * np.pi / grid)
-    results = []
-    for idx in order:
-        angles = combos[idx].copy()
-        value = coarse[idx]
-        for _ in range(sweeps):
-            for coord in range(3):
-                def along(x: float, coord: int = coord, angles: np.ndarray = angles) -> float:
-                    trial = angles.copy()
-                    trial[coord] = x
-                    return obj.value(su2(*trial))
+    angles, values = combos[order], coarse[order]
+    for _ in range(sweeps):
+        for coord in range(3):
+            def along(x: np.ndarray, coord: int = coord, angles: np.ndarray = angles) -> np.ndarray:
+                trial = angles.copy()
+                trial[:, coord] = x
+                return obj.batch_values(su2(*trial.T))
 
-                x, fx = _golden_max(
-                    along, angles[coord] - steps[coord], angles[coord] + steps[coord], 1e-10
-                )
-                if fx >= value:
-                    angles[coord], value = x, fx
-        results.append((value, angles))
+            x, fx = _golden_max(
+                along, angles[:, coord] - steps[coord], angles[:, coord] + steps[coord], 1e-10
+            )
+            better = fx >= values
+            angles[better, coord] = x[better]
+            values = np.where(better, fx, values)
 
-    best_value, best_angles = max(results, key=lambda t: t[0])
+    best = int(np.argmax(values))
     return CorrectionSearchResult(
-        unitary=su2(*best_angles),
-        value=float(best_value),
-        restart_values=tuple(float(v) for v, _ in results),
+        unitary=su2(*angles[best]),
+        value=float(values[best]),
+        restart_values=tuple(values.tolist()),
     )
 
 

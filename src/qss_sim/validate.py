@@ -17,13 +17,22 @@ stack, and only the branch reports are built per point. The suite then
 walks its points in grid order, so residuals, worst points and the report
 bytes are those of one simulation per point.
 
+The checks against quadrature and the numeric argmax work on arrays too.
+Each average suite integrates all its strengths as panels of one
+``gauss_legendre`` call, with the pointwise form called once on every node
+of every panel, and the ``r_opt`` suite finds the argmax of ``f0_ww`` at
+all its grid points in one batched ``maximize_scalar`` call. The array
+closed forms equal their scalar calls bit for bit, so the residuals are
+those of one scalar evaluation per node and one search per point.
+
 Tolerances here are fixed per formula. The suites call each closed form
 they check through this module's own name for it (``validate.f_pd`` and so
 on), looked up when ``run_all`` runs, so a test overrides a closed form by
-patching that name, e.g. ``monkeypatch.setattr(validate, "f_pd", ...)``.
-The ``avg_f_opt0`` report, the phase-damping check and the numeric argmax
-behind ``r_opt`` read ``analysis`` directly, which such a patch does not
-reach.
+patching that name, e.g. ``monkeypatch.setattr(validate, "f_pd", ...)``;
+the pointwise forms and ``r_opt`` are called on arrays, so an override
+must take them. The ``avg_f_opt0`` report, the phase-damping check and the
+numeric argmax behind ``r_opt`` read ``analysis`` directly, which such a
+patch does not reach.
 """
 
 from __future__ import annotations
@@ -113,13 +122,6 @@ def _survival(sim: dict) -> float:
     return left_sum(p for _, p in sim.values())
 
 
-def _per_node(g: Callable[[float], float]) -> Callable[[np.ndarray], list[float]]:
-    """One-panel ``gauss_legendre`` integrand that calls the scalar ``g``
-    once per node, in node order (the overridable closed forms take one
-    ``k`` at a time)."""
-    return lambda ks: [g(k) for k in ks.tolist()]
-
-
 def _grid(lo: float, hi: float, n: int) -> list[float]:
     return np.linspace(lo, hi, n).tolist()
 
@@ -199,43 +201,60 @@ def _suite_sp2(sp2: Callable, n: int, tol: float) -> CheckResult:
     ))
 
 
+def _columns(points: Sequence[tuple[float, ...]]) -> tuple[np.ndarray, ...]:
+    """Each coordinate of ``points`` as a ``(len(points), 1)`` column, one
+    row per point, to broadcast against a row of nodes or grid points."""
+    return tuple(np.array(v)[:, np.newaxis] for v in zip(*points))
+
+
+def _integrals(
+    pointwise: Callable[..., np.ndarray], points: Sequence[tuple[float, ...]], n: int = 64
+) -> list[float]:
+    """``n``-node integral over ``k`` in [0, 1] of ``pointwise(k, *point)``
+    at every point, each a panel of one ``gauss_legendre`` call."""
+    columns = _columns(points)
+    return gauss_legendre(
+        lambda ks: pointwise(ks, *columns), [0.0] * len(points), [1.0] * len(points), n=n
+    )
+
+
 def _suite_average(
     name: str, average: Callable, pointwise: Callable, n: int, tol: float
 ) -> CheckResult:
     """Closed-form average over k versus 64-node quadrature of the pointwise form."""
+    qs = _grid(0.0, 1.0, n)
+    integrals = _integrals(pointwise, [(q,) for q in qs])
     return _worst(name, tol, (
-        (
-            f"strength={q:g}",
-            abs(gauss_legendre(_per_node(lambda k: pointwise(k, q)), 0.0, 1.0) - average(q)),
-        )
-        for q in _grid(0.0, 1.0, n)
+        (f"strength={q:g}", abs(integral - average(q))) for q, integral in zip(qs, integrals)
     ))
 
 
 def _suite_avg_f1(f1: Callable, avg: Callable, n: int, tol: float) -> CheckResult:
+    points = list(product(_grid(0.0, 1.0, n), _grid(0.0, 0.95, n)))
+    integrals = _integrals(lambda ks, p, r: f1(ks, r, p), points)
     return _worst("avg_f1 vs quadrature", tol, (
-        (
-            f"p={p:g}, r={r:g}",
-            abs(gauss_legendre(_per_node(lambda k: f1(k, r, p)), 0.0, 1.0) - avg(p, r)),
-        )
-        for p, r in product(_grid(0.0, 1.0, n), _grid(0.0, 0.95, n))
+        (f"p={p:g}, r={r:g}", abs(integral - avg(p, r))) for (p, r), integral in zip(points, integrals)
     ))
 
 
 def _suite_r_opt(ropt: Callable, n: int, tol: float) -> CheckResult:
-    def residuals():
-        for p, s in product(_grid(0.1, 0.9, n), _grid(0.0, 0.8, n)):
-            lower, _ = analysis.region_bounds(p, s)
-            for k in _grid(lower + 0.02, 0.98, n):
-                if not analysis.in_validity_region(k, s, p):
-                    continue
-                closed = ropt(k, s, p)
-                numeric, _ = maximize_scalar(
-                    ScalarObjective(lambda r: analysis.f0_ww(k, s, r, p), 0.0, 1.0, tolerance=1e-10)
-                )
-                yield f"k={k:g}, s={s:g}, p={p:g}", abs(closed - numeric)
-
-    return _worst("r_opt vs numeric argmax", tol, residuals())
+    """The closed-form ``r_opt`` against the numeric argmax of ``f0_ww``
+    over ``r``, every grid point in one batched ``maximize_scalar`` call."""
+    points = [
+        (k, s, p)
+        for p, s in product(_grid(0.1, 0.9, n), _grid(0.0, 0.8, n))
+        for k in _grid(analysis.region_bounds(p, s)[0] + 0.02, 0.98, n)
+        if analysis.in_validity_region(k, s, p)
+    ]
+    ks, ss, ps = _columns(points)
+    closed = ropt(ks, ss, ps)[:, 0]
+    numeric, _ = maximize_scalar(
+        ScalarObjective(lambda r: analysis.f0_ww(ks, ss, r, ps), 0.0, 1.0, tolerance=1e-10)
+    )
+    return _worst("r_opt vs numeric argmax", tol, (
+        (f"k={k:g}, s={s:g}, p={p:g}", res)
+        for (k, s, p), res in zip(points, np.abs(closed - numeric).tolist())
+    ))
 
 
 def _suite_avg_f_opt0_report(n: int) -> CheckResult:
@@ -279,7 +298,7 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
 
         return gauss_legendre(integrand, [0.0] * len(grid), [1.0] * len(grid), n=nodes)
 
-    base = {q: gauss_legendre(_per_node(lambda k: analysis.f_pd(k, q)), 0.0, 1.0, n=nodes) for q in strengths}
+    base = dict(zip(strengths, _integrals(analysis.f_pd, [(q,) for q in strengths], n=nodes)))
     averages = [(which, protected(view)) for which, view in views]
     gains = [
         (average[i] - base[q], f"q={q:g}, s={s:g}, r={r:g}, {which}")

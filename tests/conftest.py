@@ -6,6 +6,8 @@ partial traces by explicit index loops, and channel application by summing
 explicitly kron-built operators. They are slow and obviously correct.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,95 @@ def random_secret(rng):
     from qss_sim.protocol import Secret
 
     return Secret(alpha=complex(v[0]), beta=complex(v[1]))
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max_oracle(f, a, b, tol):
+    """Scalar golden-section maximum of ``f`` on ``[a, b]``, one bracket at a
+    time: the loop the batched search must reproduce element by element.
+    Returns ``(x, f(x), steps)``."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    steps = 0
+    while b - a > tol:
+        steps += 1
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x), steps
+
+
+def maximize_scalar_oracle(fn, lower, upper, tolerance=1e-10, grid=64):
+    """Grid plus golden-section maximum of the scalar ``fn``, calling it on
+    one float at a time. Returns ``(x, f(x), grid_won)``."""
+    xs = np.linspace(lower, upper, grid)
+    values = [fn(float(x)) for x in xs]
+    best = int(np.argmax(values))
+    step = (upper - lower) / (grid - 1)
+    a = max(lower, xs[best] - step)
+    b = min(upper, xs[best] + step)
+    x, fx, _ = golden_max_oracle(fn, a, b, tolerance)
+    if values[best] > fx:
+        return float(xs[best]), values[best], True
+    return float(x), fx, False
+
+
+def density_trace_oracle(mat):
+    """The checks of a 2x2 density matrix as array operations over all its
+    entries: finite, Hermitian to ``ATOL``, positive semidefinite to
+    ``-ATOL`` (the closed-form smallest eigenvalue, from the lower
+    triangle), trace in ``(0, 1 + ATOL]``. Raises ``ValueError`` at the
+    first that fails and returns the trace otherwise."""
+    from qss_sim.tolerances import ATOL
+
+    if not np.isfinite(mat).all():
+        raise ValueError("density matrix entries must be finite")
+    herm = float(np.abs(mat - mat.conj().T).max())
+    if herm > ATOL:
+        raise ValueError(f"matrix is not Hermitian: residual {herm}")
+    (a, _), (b, d) = mat.tolist()
+    lo = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+    if not lo >= -ATOL:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo}")
+    tr = float(mat.trace().real)
+    if not 0.0 < tr <= 1.0 + ATOL:
+        raise ValueError(f"trace must lie in (0, 1], got {tr}")
+    return tr
+
+
+def correction_search_oracle(obj, restarts=8, grid=16, sweeps=4):
+    """The correction search one restart at a time, each golden step scoring
+    one unitary with ``obj.value``. Returns the per-restart maxima."""
+    from qss_sim.linalg import su2
+
+    thetas = np.linspace(0.0, np.pi, grid)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    combos = np.array(np.meshgrid(thetas, phis, phis, indexing="ij")).reshape(3, -1).T
+    coarse = obj.batch_values(np.array([su2(*angles) for angles in combos]))
+    steps = (np.pi / (grid - 1), 2.0 * np.pi / grid, 2.0 * np.pi / grid)
+    results = []
+    for idx in np.argsort(coarse)[::-1][:restarts]:
+        angles, value = combos[idx].copy(), coarse[idx]
+        for _ in range(sweeps):
+            for coord in range(3):
+                def along(x, coord=coord, angles=angles):
+                    trial = angles.copy()
+                    trial[coord] = x
+                    return obj.value(su2(*trial))
+
+                x, fx, _ = golden_max_oracle(
+                    along, angles[coord] - steps[coord], angles[coord] + steps[coord], 1e-10
+                )
+                if fx >= value:
+                    angles[coord], value = x, fx
+        results.append(float(value))
+    return results

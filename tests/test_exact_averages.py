@@ -140,6 +140,13 @@ class TestDependenceOnP:
         assert avg_f_opt0(p, s) == pytest.approx(avg_f_opt0(P, 0.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("p, s", [(1e-17, 0.0), (1e-100, 0.0), (1e-300, 0.0), (2e-17, 0.5), (1e-16, 0.0)])
+def test_quadrature_at_tiny_P_stays_in_the_domain(p, s):
+    # r_opt rounds a few ulps below 0 at some nodes here; the node's r is
+    # clipped into [0, 1] rather than refused
+    assert abs(avg_f_opt0(p, s) - avg_f_opt0_closed_form(p, s)) <= 1e-15
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(p=st.floats(0.001, 0.999), s=st.floats(0.0, 0.999))
 def test_quadrature_equals_the_closed_form(p, s):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import embed_oracle, random_density, random_secret
+from conftest import density_trace_oracle, embed_oracle, random_density, random_secret
 from qss_sim.channels import adc, pdc, weak_op
 from qss_sim.linalg import (
     ID2,
@@ -14,8 +15,8 @@ from qss_sim.linalg import (
     PAULI_X,
     DensityMatrix,
     PureState,
-    _min_eigenvalue,
     _qubit_fidelity,
+    _qubit_min_eigenvalue,
     dagger,
     embed,
     su2,
@@ -195,6 +196,24 @@ class TestStateTypes:
         assert sub.trace == pytest.approx(0.3)
 
     @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[0.5, 0.5], [0.1, 0.5]], "^matrix is not Hermitian: residual 0.4$"),
+            ([[0.5, 0.0], [0.0, 0.5j]], "^matrix is not Hermitian: residual 1.0$"),
+            ([[1.5, 0.0], [0.0, -0.5]], "^matrix is not positive semidefinite: min eigenvalue -0.5$"),
+            ([[1.0, 0.0], [0.0, 1.0]], "^trace must lie in \\(0, 1\\], got 2.0$"),
+            ([[0.0, 0.0], [0.0, 0.0]], "^trace must lie in \\(0, 1\\], got 0.0$"),
+            ([[0.5, 1j * np.inf], [0.0, 0.5]], "^density matrix entries must be finite$"),
+        ],
+    )
+    def test_each_refusal_names_its_check(self, entries, message):
+        for shape in ((2, 2), (4, 4)):  # the scalar path and the array path
+            mat = np.zeros(shape, dtype=complex)
+            mat[:2, :2] = entries
+            with pytest.raises(ValueError, match=message):
+                DensityMatrix(mat)
+
+    @pytest.mark.parametrize(
         "entries",
         [
             [[0.5, np.nan], [np.nan, 0.5]],
@@ -284,7 +303,8 @@ def test_closed_form_min_eigenvalue_matches_eigvalsh(mat):
     around ``-ATOL`` it accepts and refuses exactly what ``eigvalsh`` does,
     in ``DensityMatrix`` too."""
     band = 16 * EPS * np.abs(mat).max()  # 8 eps times a bound on |M|_2 that cannot underflow
-    lo, ref = _min_eigenvalue(mat), float(np.linalg.eigvalsh(mat)[0])
+    (a, _), (b, d) = mat.tolist()
+    lo, ref = _qubit_min_eigenvalue(a, b, d), float(np.linalg.eigvalsh(mat)[0])
     assert abs(lo - ref) <= band
     if abs(ref + ATOL) <= band:
         return
@@ -296,3 +316,45 @@ def test_closed_form_min_eigenvalue_matches_eigvalsh(mat):
         else:
             with pytest.raises(ValueError, match="not positive semidefinite"):
                 DensityMatrix(mat)
+
+
+residual = st.sampled_from([0.0, 0.5, 1.0, 1.0 + EPS, 1.0 - EPS / 2, 1.0 + 4 * EPS, 2.0]).map(
+    lambda x: x * ATOL
+)
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+
+
+@st.composite
+def state_candidates(draw):
+    """A 2x2 complex matrix: any entries, a Hermitian one, or a Hermitian one
+    with a non-finite entry, an imaginary diagonal or an off-diagonal
+    mismatch of size about ``ATOL``, each residual exact in either ``abs``."""
+    kind = draw(st.sampled_from(["any", "hermitian", "non_finite", "diagonal", "off_diagonal"]))
+    entry = st.builds(complex, unit_float, unit_float)
+    if kind == "any":
+        return np.array([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+    mat = _hermitian(draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2)), draw(entry) / 2)
+    row, col = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    if kind == "non_finite":
+        mat[row, col] = draw(non_finite)
+    elif kind == "diagonal":
+        mat[row, row] += complex(0.0, draw(residual) / 2 * draw(st.sampled_from([1, -1])))
+    elif kind == "off_diagonal":
+        mat[0, 1] += draw(residual) * draw(st.sampled_from([1, -1, 1j, -1j]))
+    return mat
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(mat=state_candidates())
+def test_qubit_checks_agree_with_the_array_checks(mat):
+    """``DensityMatrix`` checks a 2x2 matrix on Python scalars; it accepts
+    and refuses what the array checks do, for the same reason, and keeps
+    the same trace. Only a Hermitian residual's last bit may differ."""
+    try:
+        expected = density_trace_oracle(mat)
+    except ValueError as exc:
+        reason = str(exc).split(":")[0].split(", got")[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
+            DensityMatrix(mat)
+        return
+    assert DensityMatrix(mat).trace == expected

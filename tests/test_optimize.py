@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import correction_search_oracle, golden_max_oracle, maximize_scalar_oracle
 from qss_sim.analysis import f0_ww, f1_ww, r_opt
 from qss_sim.linalg import (
     ID2,
@@ -18,6 +19,7 @@ from qss_sim.linalg import (
 from qss_sim.optimize import (
     ScalarObjective,
     UnitaryObjective,
+    _golden_max,
     _unit_interval_nodes,
     best_correction,
     correction_objective,
@@ -80,6 +82,87 @@ class TestMaximizeScalar:
             ScalarObjective(lambda x: x, 0.0, 1.0, tolerance=0.0)
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestBatchedSearch:
+    """The batched golden-section search against the scalar loop of
+    ``conftest``, one bracket or objective at a time, bit for bit. The
+    objectives use only arithmetic whose array and float results agree."""
+
+    def test_golden_max_equals_the_scalar_loop_per_bracket(self):
+        # widths from 0.9 down to below tol: the brackets take 0 to 47 steps
+        a = np.array([0.05, 0.2, 0.49, 0.3, 0.7, 0.1])
+        b = np.array([0.95, 0.25, 0.49 + 5e-11, 0.9, 0.7 + 1e-3, 0.1 + 2e-10])
+        t = np.array([0.43, 0.26, 0.2, 0.9, 0.7005, 0.1])
+        x, fx = _golden_max(lambda r: -(r - t) * (r - t) + 0.25 * r, a, b, 1e-10)
+        expected = [
+            golden_max_oracle(lambda r, t=ti: -(r - t) * (r - t) + 0.25 * r, ai, bi, 1e-10)
+            for ai, bi, ti in zip(a.tolist(), b.tolist(), t.tolist())
+        ]
+        assert len({steps for _, _, steps in expected}) == len(expected)
+        assert min(steps for _, _, steps in expected) == 0
+        assert hexes(x) == hexes([xi for xi, _, _ in expected])
+        assert hexes(fx) == hexes([fi for _, fi, _ in expected])
+
+    def test_golden_max_calls_f_once_per_step_of_the_longest_bracket(self):
+        calls = []
+
+        def f(r):
+            calls.append(r.shape)
+            return -(r - 0.3) * (r - 0.3)
+
+        a, b = np.array([0.0, 0.2, 0.25]), np.array([1.0, 0.4, 0.35])
+        _golden_max(f, a, b, 1e-10)
+        steps = max(golden_max_oracle(lambda r: -(r - 0.3) * (r - 0.3), ai, bi, 1e-10)[2]
+                    for ai, bi in zip(a.tolist(), b.tolist()))
+        assert calls == [(3,)] * (2 + steps + 1)
+
+    def test_batched_f0_ww_argmax_equals_one_search_per_point(self):
+        rng = np.random.default_rng(11)
+        k, s, p = rng.uniform(0.0, 1.0, (3, 40))
+        k[:3], s[:3], p[:3] = (0.5, 0.98, 0.02), (0.0, 0.3, 0.9), (0.5, 0.1, 0.95)
+        column = [v[:, np.newaxis] for v in (k, s, p)]
+        x, fx = maximize_scalar(ScalarObjective(lambda r: f0_ww(*column[:2], r, column[2]), 0.0, 1.0))
+        expected = [
+            maximize_scalar_oracle(lambda r, ki=ki, si=si, pi=pi: f0_ww(ki, si, r, pi), 0.0, 1.0)
+            for ki, si, pi in zip(k.tolist(), s.tolist(), p.tolist())
+        ]
+        assert x.shape == fx.shape == (40,)
+        assert hexes(x) == hexes([xi for xi, _, _ in expected])
+        assert hexes(fx) == hexes([fi for _, fi, _ in expected])
+
+    def test_boundary_maxima_equal_one_search_per_point(self):
+        # f1_ww rises with r on [0, 1] for 0 < k and p < 1: -f1_ww peaks at 0
+        k, p = np.array([[0.1], [0.4], [0.9], [0.5]]), np.array([[0.7], [0.2], [0.95], [0.6]])
+        sign = np.array([[1.0], [1.0], [1.0], [-1.0]])
+        x, fx = maximize_scalar(ScalarObjective(lambda r: sign * f1_ww(k, r, p), 0.0, 1.0))
+        expected = [
+            maximize_scalar_oracle(lambda r, ki=ki, pi=pi, si=si: si * f1_ww(ki, r, pi), 0.0, 1.0)
+            for ki, pi, si in zip(k.ravel().tolist(), p.ravel().tolist(), sign.ravel().tolist())
+        ]
+        assert hexes(x) == hexes([xi for xi, _, _ in expected])
+        assert hexes(fx) == hexes([fi for _, fi, _ in expected])
+        assert np.abs(x - [1.0, 1.0, 1.0, 0.0]).max() <= 1e-8
+
+    def test_a_winning_grid_point_is_kept_per_element(self):
+        # a kink on a grid point: the golden result ends a little below it
+        xs = np.linspace(0.0, 1.0, 64)
+        t = np.array([xs[0], xs[17], 0.4321, xs[63], 0.999, xs[40]])
+        x, fx = maximize_scalar(ScalarObjective(lambda r: -abs(r - t[:, np.newaxis]), 0.0, 1.0))
+        expected = [maximize_scalar_oracle(lambda r, ti=ti: -abs(r - ti), 0.0, 1.0) for ti in t.tolist()]
+        assert [won for _, _, won in expected] == [True, True, False, True, False, True]
+        assert hexes(x) == hexes([xi for xi, _, _ in expected])
+        assert hexes(fx) == hexes([fi for _, fi, _ in expected])
+
+    def test_scalar_objective_gives_floats(self):
+        x, fx = maximize_scalar(ScalarObjective(lambda r: -(r - 0.3) * (r - 0.3), 0.0, 1.0))
+        assert type(x) is float and type(fx) is float
+        ox, ofx, _ = maximize_scalar_oracle(lambda r: -(r - 0.3) * (r - 0.3), 0.0, 1.0)
+        assert (x.hex(), fx.hex()) == (ox.hex(), ofx.hex())
+
+
 class TestOptimizeCorrection:
     def test_noiseless_identity_branch(self):
         obj = correction_objective(0, ["+"], nodes=17)
@@ -110,6 +193,15 @@ class TestOptimizeCorrection:
         # the search must reach the table's average but cannot exceed it
         assert result.value >= table_value - 1e-9
         assert result.value <= table_value + 1e-6
+
+    def test_restarts_stepping_together_equal_one_search_per_restart(self):
+        for channel, wmrqm in ((NoiseSpec("adc", 0.4), None), (NoiseSpec("adc", 0.5), Wmrqm(0.3, 0.4))):
+            obj = correction_objective(1, ["-"], channel=channel, wmrqm=wmrqm, nodes=17)
+            result = optimize_correction(obj, restarts=5, sweeps=2)
+            expected = correction_search_oracle(obj, restarts=5, sweeps=2)
+            assert result.restart_values == pytest.approx(expected, rel=0, abs=1e-12)
+            assert result.value == max(result.restart_values)
+            assert obj.value(result.unitary) == pytest.approx(result.value, abs=1e-12)
 
     def test_objective_weights_normalized(self):
         obj = correction_objective(0, ["+"], nodes=21, phases=5)

@@ -24,9 +24,16 @@ from hypothesis import strategies as st
 from qss_sim import analysis, protocol, validate
 from qss_sim.analysis import (
     DomainError,
+    avg_f1,
+    avg_f_ad,
     avg_f_opt0,
+    avg_f_pd,
     avg_success_opt0,
     f0_ww,
+    f1_ww,
+    f_ad,
+    f_ad_outcome1,
+    f_pd,
     in_validity_region,
     r_opt,
     region_bounds,
@@ -34,6 +41,7 @@ from qss_sim.analysis import (
 )
 from qss_sim.protocol import left_sum, success_probability
 from qss_sim.quadrature import _nodes, adaptive_gauss_legendre, gauss_legendre
+from qss_sim.tolerances import POLE_ATOL
 
 examples = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -377,6 +385,102 @@ class TestArrayClosedForms:
     def test_vanishing_branch_raises_at_that_element(self):
         with pytest.raises(DomainError, match="vanishes at k=1.0, s=0.3, r=1.0, p=0.5"):
             f0_ww(np.array([0.5, 1.0]), 0.3, np.array([0.2, 1.0]), 0.5)
+
+
+# Inputs of the pointwise forms: the ends of [0, 1] and the values next to
+# them, and the 64 Gauss-Legendre nodes the suites integrate on.
+UNIT_VALUES = np.concatenate([[0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0], 0.5 * (_nodes(64)[0] + 1.0)])
+
+
+def _unit_pairs():
+    """Every pair of ``UNIT_VALUES``, then 20,000 random pairs: a float's
+    ``** 2`` rounds differently from ``x * x`` at about one in 2,000."""
+    grid = [a.ravel() for a in np.meshgrid(UNIT_VALUES, UNIT_VALUES)]
+    return np.concatenate([grid, np.random.default_rng(7).uniform(0.0, 1.0, (2, 20_000))], axis=1)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestPointwiseArrayForms:
+    """``f_pd``, ``f_ad``, ``f_ad_outcome1`` and ``f1_ww`` on arrays, as the
+    validation quadratures and the batched argmax call them."""
+
+    @pytest.mark.parametrize("form", [f_pd, f_ad, f_ad_outcome1])
+    def test_two_argument_forms_equal_the_scalar_calls_bit_for_bit(self, form):
+        k, q = _unit_pairs()
+        assert _hexes(form(k, q)) == _hexes([form(*args) for args in zip(k.tolist(), q.tolist())])
+
+    def test_f1_ww_equals_the_scalar_calls_bit_for_bit(self):
+        k, r = _unit_pairs()
+        p = np.resize([0.0, 0.3, 0.9, 1.0, 0.61], k.size)
+        keep = np.abs(1.0 - p * r) >= POLE_ATOL
+        k, r, p = k[keep], r[keep], p[keep]
+        expected = [f1_ww(*args) for args in zip(k.tolist(), r.tolist(), p.tolist())]
+        assert _hexes(f1_ww(k, r, p)) == _hexes(expected)
+
+    def test_columns_broadcast_against_a_row_of_nodes(self):
+        nodes = UNIT_VALUES[-64:]
+        qs = np.array([0.0, 0.37, 1.0])[:, np.newaxis]
+        got = f_pd(nodes, qs)
+        assert got.shape == (3, 64)
+        assert _hexes(got) == _hexes([f_pd(k, q) for q in (0.0, 0.37, 1.0) for k in nodes.tolist()])
+
+    def test_floats_give_python_floats(self):
+        for value in (f_pd(0.3, 0.2), f_ad(0.3, 0.2), f_ad_outcome1(0.3, 0.2), f1_ww(0.3, 0.2, 0.5)):
+            assert type(value) is float
+
+    def test_first_out_of_range_element_is_named(self):
+        with pytest.raises(DomainError, match="k must lie in \\[0, 1\\], got 1.5"):
+            f_pd(np.array([0.2, 1.5, -1.0]), 0.3)
+        with pytest.raises(DomainError, match="p must lie in \\[0, 1\\], got -0.25"):
+            f_ad_outcome1(0.4, np.array([0.1, -0.25, 2.0]))
+
+    def test_first_nan_element_is_named(self):
+        with pytest.raises(DomainError, match="p must lie in \\[0, 1\\], got nan"):
+            f_ad(0.2, np.array([0.1, math.nan, 2.0]))
+        with pytest.raises(DomainError, match="r must lie in \\[0, 1\\], got nan"):
+            f1_ww(0.3, np.array([0.5, math.nan]), 0.5)
+
+    def test_first_element_near_the_pole_is_named(self):
+        near, nearer = 1.0 - 0.5 * POLE_ATOL, 1.0 - 0.25 * POLE_ATOL
+        with pytest.raises(DomainError, match=f"p={near}, r=1.0 is within 1e-05 of the singular point"):
+            f1_ww(0.3, np.array([0.5, 1.0, 1.0]), np.array([0.2, near, nearer]))
+
+    def test_scalar_pole_message_is_unchanged(self):
+        with pytest.raises(DomainError, match="^p=1.0, r=0.9999999999999999 is within 1e-05 of the singular point pr = 1$"):
+            f1_ww(0.3, 1 - 1e-16, 1.0)
+
+
+class TestValidationQuadratures:
+    """The suites' averages, every strength a panel of one call, against the
+    per-node oracle called once per strength, as the suites used to."""
+
+    @pytest.mark.parametrize("form", [f_pd, f_ad])
+    def test_strength_panels_equal_one_scalar_integral_each(self, form):
+        qs = np.linspace(0.0, 1.0, 21).tolist()
+        expected = [oracle_gauss_legendre(lambda k: form(k, q), 0.0, 1.0) for q in qs]
+        assert _hexes(validate._integrals(form, [(q,) for q in qs])) == _hexes(expected)
+
+    def test_f1_panels_equal_one_scalar_integral_each(self):
+        points = list(product(np.linspace(0.0, 1.0, 6).tolist(), np.linspace(0.0, 0.95, 6).tolist()))
+        expected = [oracle_gauss_legendre(lambda k: f1_ww(k, r, p), 0.0, 1.0) for p, r in points]
+        got = validate._integrals(lambda k, p, r: f1_ww(k, r, p), points)
+        assert _hexes(got) == _hexes(expected)
+
+    def test_average_suites_pass_with_one_integrand_call(self, monkeypatch):
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return gauss_legendre(f, *args, **kwargs)
+
+        monkeypatch.setattr(validate, "gauss_legendre", counting)
+        assert validate._suite_average("pd", avg_f_pd, f_pd, 101, 1e-9).passed
+        assert validate._suite_average("ad", avg_f_ad, f_ad, 101, 1e-9).passed
+        assert validate._suite_avg_f1(f1_ww, avg_f1, 11, 1e-9).passed
+        assert len(calls) == 3
 
 
 class TestLeftToRightSums:
