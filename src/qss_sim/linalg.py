@@ -96,8 +96,12 @@ def _qubit_min_eigenvalue(a: complex, b: complex, d: complex) -> float:
     """Smallest eigenvalue of a Hermitian 2x2 matrix, read from its lower
     triangle (diagonal ``a``, ``d`` and ``b`` below it) as ``eigvalsh``
     reads it: ``(a+d)/2 - hypot((a-d)/2, |b|)``, within a few ``eps * |M|``
-    of ``eigvalsh``."""
-    return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+    of ``eigvalsh``. A ``|b|`` beyond the largest float counts as ``inf``."""
+    try:
+        modulus = abs(b)
+    except OverflowError:  # finite parts whose modulus is beyond the largest float
+        modulus = math.inf
+    return (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, modulus)
 
 
 def _checked_trace(mat: np.ndarray) -> float:

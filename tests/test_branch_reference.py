@@ -22,9 +22,9 @@ apply single-qubit operators through ``_apply_channel_matrix``.
 
 ``broadcast_sandwich`` is the earlier form of that primitive, two
 broadcast products and a sum per pass whatever the operator's zeros; the
-package leaves out a half of the operator whose entries are both zero, and
-with the reference run on ``broadcast_sandwich`` every report still agrees
-bit for bit.
+package leaves out every product whose coefficient is zero, and with the
+reference run on ``broadcast_sandwich`` every report still agrees bit for
+bit.
 
 ``dense_sandwich`` is the slow form of that primitive: each operator lifted
 to the full register with ``embed`` and applied by two dense matmuls. A
@@ -611,11 +611,14 @@ def test_round_k_equals_round_one_on_the_same_secret(parties, protected):
                 assert np.array_equal(r.reconstructed_state.matrix, s.reconstructed_state.matrix)
 
 
-def dense_sandwich(mat, operators, qubit, m):
-    out = np.zeros_like(mat)
+def dense_sandwich(mat, operators, qubit, m, out=None):
+    result = np.zeros_like(mat)
     for op in operators:
         e = embed(op, [qubit], m)
-        out += e @ mat @ dagger(e)
+        result += e @ mat @ dagger(e)
+    if out is None:
+        return result
+    out[...] = result
     return out
 
 
@@ -662,20 +665,23 @@ def test_run_iteration_matches_dense_embed(parties, monkeypatch):
         assert np.max(np.abs(r.reconstructed_state.matrix - d.reconstructed_state.matrix)) <= DENSE_TOL
 
 
-def broadcast_sandwich(mat, operators, qubit, m):
+def broadcast_sandwich(mat, operators, qubit, m, out=None):
     """``sum_i E_i mat E_i^dag`` as two broadcast products and a sum per
     pass, ``dst[:, i] = E[i, 0] src[:, 0] + E[i, 1] src[:, 1]``, zero
-    entries included."""
+    entries included; the result is copied into ``out`` if one is given."""
     rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)
-    half, part, out = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
+    half, part, result = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
     cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))
     for n, e in enumerate(operators):
-        term = np.empty_like(cols) if n else out.reshape(cols.shape)
+        term = np.empty_like(cols) if n else result.reshape(cols.shape)
         for src, op, dst in ((rows, e, half), (cols, e.conj(), term)):
             np.multiply(op[:, :1], src[:, :1], out=dst)
             dst += np.multiply(op[:, 1:], src[:, 1:], out=part.reshape(dst.shape))
         if n:
-            out += term.reshape(out.shape)
+            result += term.reshape(result.shape)
+    if out is None:
+        return result
+    out[...] = result
     return out
 
 

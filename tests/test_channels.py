@@ -16,7 +16,7 @@ from qss_sim.channels import (
     weak_op,
 )
 from qss_sim.linalg import ID2, KET_PLUS, PAULI_X, DensityMatrix
-from qss_sim.protocol import Secret, encode_secret, make_resource
+from qss_sim.protocol import Secret, _reset_to_zero, encode_secret, make_resource
 
 
 class TestPhaseDamping:
@@ -124,12 +124,19 @@ MIXED_KRAUS_SETS = {
     "X next to zero": [(PAULI_X,), (np.zeros((2, 2), dtype=complex),)],
     "X, I and a full operator": [(PAULI_X,), (ID2,), (np.array([[0.6, 0.8j], [-0.8j, 0.6]]),)],
     "projectors": [(PROJECTORS["computational"]["0"],), (PROJECTORS["computational"]["1"],)],
+    "hadamard projectors": [(PROJECTORS["hadamard"]["+"],), (PROJECTORS["hadamard"]["-"],)],
 }
 
+# The sets the simulator stacks, also checked on the largest register
+SIMULATOR_SETS = ["adc edges", "adc p=0 next to p=0.5", "forward null", "hadamard projectors", "pdc edges",
+                  "projectors", "reverse"]
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", sorted(MIXED_KRAUS_SETS))
-def test_per_register_operators_equal_per_register_calls(m, name):
+
+@pytest.mark.parametrize(
+    "name, m", [(name, m) for name in sorted(MIXED_KRAUS_SETS) for m in (1, 2, 3, 4)]
+    + [(name, 8) for name in SIMULATOR_SETS]
+)
+def test_per_register_operators_equal_per_register_calls(name, m):
     """``(batch, 2, 2)`` operators, one per register, give every register the
     bytes of its own call with its own 2x2 operators, at every qubit."""
     kinds = MIXED_KRAUS_SETS[name]
@@ -140,6 +147,49 @@ def test_per_register_operators_equal_per_register_calls(m, name):
         stacked = _apply_channel_matrix(stack, operators, q, m)
         for mat, ops, out in zip(stack, per_register, stacked):
             assert out.tobytes() == _apply_channel_matrix(mat, ops, q, m).tobytes(), (name, q)
+
+
+def _all_operator_sets():
+    """Every operator set above: shared by a 3-register stack, and one per
+    register."""
+    for name, kinds in MIXED_KRAUS_SETS.items():
+        for ops in kinds:
+            yield name, ops
+        per_register = [kinds[i % len(kinds)] for i in range(3)]
+        yield name + " per register", [np.stack(ops) for ops in zip(*per_register)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_in_place_and_out_of_place_calls_give_the_same_bits(m):
+    """``out=mat`` overwrites the input with the bytes a new array gets, and
+    an ``out`` full of other values is overwritten everywhere, the blocks no
+    product reaches included."""
+    stack = register_stack(m, np.random.default_rng(m), 3)
+    for name, ops in _all_operator_sets():
+        for q in range(m):
+            expected = _apply_channel_matrix(stack, ops, q, m)
+            in_place = stack.copy()
+            assert _apply_channel_matrix(in_place, ops, q, m, out=in_place) is in_place
+            assert in_place.tobytes() == expected.tobytes(), (name, q)
+            other = np.full_like(stack, complex(np.nan, -7.0))
+            _apply_channel_matrix(stack, ops, q, m, out=other)
+            assert other.tobytes() == expected.tobytes(), (name, q)
+
+
+def test_channel_and_reset_leave_their_input_alone(rng):
+    """``apply_channel`` and ``_reset_to_zero`` read a state's read-only
+    matrix and never write into it (a write would raise)."""
+    for m in (1, 3):
+        rho = random_density(rng, m)
+        before = rho.matrix.tobytes()
+        for ch in (adc(0.4), pdc(0.3), adc(1.0), pdc(1.0)):
+            for q in range(m):
+                apply_channel(rho, ch, q)
+        assert not rho.matrix.flags.writeable and rho.matrix.tobytes() == before
+    qubit = random_density(rng, 1)
+    before = qubit.matrix.tobytes()
+    _reset_to_zero(qubit)
+    assert not qubit.matrix.flags.writeable and qubit.matrix.tobytes() == before
 
 
 class TestWeakOps:

@@ -227,6 +227,16 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="must be finite"):
             DensityMatrix(np.array(entries, dtype=complex))
 
+    def test_off_diagonal_modulus_beyond_the_largest_float_is_refused(self):
+        # finite parts, but |b| overflows: Python's abs raises OverflowError
+        b = 1.5e308 * (1 + 1j)
+        for shape in ((2, 2), (4, 4)):  # the scalar path and the array path
+            mat = np.zeros(shape, dtype=complex)
+            mat[:2, :2] = [[0.5, np.conj(b)], [b, 0.5]]
+            with pytest.raises(ValueError, match="^matrix is not positive semidefinite"):
+                DensityMatrix(mat)
+        assert _qubit_min_eigenvalue(0.5 + 0j, b, 0.5 + 0j) == -np.inf
+
     @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
     def test_non_finite_pure_state_rejected(self, amps):
         with pytest.raises(ValueError, match="not normalized"):
