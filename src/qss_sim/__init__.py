@@ -56,7 +56,6 @@ from .protocol import (
     IterationReport,
     NoiseSpec,
     ProtocolConfig,
-    ProtocolState,
     Secret,
     Wmrqm,
     advance,
@@ -68,7 +67,6 @@ from .protocol import (
     run_iteration,
     run_iterations,
     run_protocol,
-    start_chain,
     success_probability,
 )
 

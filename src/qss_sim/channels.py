@@ -101,8 +101,14 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubit: int) -> DensityMa
     Computes ``sum_i E_i rho E_i^dag`` with each ``E_i`` the Kraus operator
     acting on the qubit's tensor axis. Trace is preserved exactly; applying the
     same channel to two qubits in sequence equals the double Kraus sum over
-    both qubits.
+    both qubits. ``ValueError`` if ``qubit`` is not a register position or
+    an operator is not 2x2.
     """
+    if not 0 <= qubit < rho.num_qubits:
+        raise ValueError(f"qubit {qubit} is outside a {rho.num_qubits}-qubit register")
+    shapes = [k.shape for k in ch.operators]
+    if any(shape != (2, 2) for shape in shapes):
+        raise ValueError(f"a single-qubit channel needs 2x2 Kraus operators, got shapes {shapes}")
     return DensityMatrix(_apply_channel_matrix(rho.matrix, ch.operators, qubit, rho.num_qubits))
 
 
@@ -262,7 +268,10 @@ def weak_op(kind: str, strength: float) -> np.ndarray:
 
 
 def validate_cptp(operators: Sequence[np.ndarray]) -> float:
-    """Max-norm residual of the completeness sum ``sum_i K_i^dag K_i - I``."""
+    """Max-norm residual of the completeness sum ``sum_i K_i^dag K_i - I``;
+    ``ValueError`` for an empty list."""
+    if not operators:
+        raise ValueError("a channel needs at least one Kraus operator")
     dim = operators[0].shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
     for k in operators:

@@ -115,13 +115,16 @@ def run_config_from_text(text: str) -> ProtocolConfig:
     if "wmrqm_s" in pairs:
         wmrqm = Wmrqm(s=_parse_float(pairs, "wmrqm_s"), r=_parse_float(pairs, "wmrqm_r"))
 
+    if iterations < 1:
+        raise ConfigValidationError(f"need at least 1 iteration, got {iterations}")
+    if len(ks) != iterations:
+        raise ConfigValidationError(f"got {len(ks)} secrets for {iterations} iteration(s)")
     try:
         return ProtocolConfig(
             parties=parties,
             secrets=tuple(Secret.from_k(k) for k in ks),
             channel=noise("channel", "strength"),
             wmrqm=wmrqm,
-            iterations=iterations,
             return_channel=noise("return_channel", "return_strength"),
         )
     except ValueError as exc:

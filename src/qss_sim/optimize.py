@@ -78,6 +78,10 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Points of ``maximize_scalar``'s coarse grid; the golden-section search
+# refines within one grid step of the best of them.
+_SCALAR_GRID = 64
+
 
 @dataclass(frozen=True)
 class ScalarObjective:
@@ -135,10 +139,9 @@ def _golden_max(
     return x, f(x)
 
 
-def maximize_scalar(
-    obj: ScalarObjective, grid: int = 64
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Global maximum via coarse grid plus golden-section refinement.
+def maximize_scalar(obj: ScalarObjective) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Global maximum via a coarse grid of ``_SCALAR_GRID`` points plus
+    golden-section refinement.
 
     Exact for unimodal objectives; for multimodal ones the grid picks the
     basin. Boundary maxima are found to the same tolerance. ``obj.fn`` is
@@ -147,12 +150,12 @@ def maximize_scalar(
     ``(argmax, max)`` as floats for a scalar objective and as arrays of
     shape ``batch`` for a batched one.
     """
-    xs = np.linspace(obj.lower, obj.upper, grid)
+    xs = np.linspace(obj.lower, obj.upper, _SCALAR_GRID)
     values = obj.fn(xs)
     best = np.argmax(values, axis=-1)[..., np.newaxis]
     x_best = xs[best]
     f_best = np.take_along_axis(values, best, axis=-1)
-    step = (obj.upper - obj.lower) / (grid - 1)
+    step = (obj.upper - obj.lower) / (_SCALAR_GRID - 1)
     a = np.maximum(obj.lower, x_best - step)
     b = np.minimum(obj.upper, x_best + step)
     x, fx = _golden_max(obj.fn, a, b, obj.tolerance)

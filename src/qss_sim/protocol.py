@@ -71,7 +71,6 @@ __all__ = [
     "Wmrqm",
     "ProtocolConfig",
     "IterationReport",
-    "ProtocolState",
     "CORRECTION_TABLE",
     "make_resource",
     "encode_secret",
@@ -80,7 +79,6 @@ __all__ = [
     "run_iterations",
     "branch_maps",
     "advance",
-    "start_chain",
     "run_protocol",
     "success_probability",
     "aggregate_fidelity",
@@ -185,8 +183,8 @@ class ProtocolConfig:
     """Full description of a protocol run.
 
     ``parties`` counts the receivers (the dealer is extra), from 2 to
-    ``MAX_PARTIES``; ``iterations`` runs from 1 to ``MAX_ITERATIONS``, with
-    one secret per iteration; ``channel`` may be a single spec applied to every
+    ``MAX_PARTIES``; ``secrets`` holds one secret per iteration, from 1 to
+    ``MAX_ITERATIONS`` of them; ``channel`` may be a single spec applied to every
     transmitted qubit, or one entry per transmitted qubit (``None`` =
     noiseless leg). ``return_channel`` optionally adds noise to the
     helpers' qubits on their way back to the dealer between iterations; the
@@ -198,7 +196,6 @@ class ProtocolConfig:
     secrets: tuple[Secret, ...]
     channel: NoiseSpec | tuple[NoiseSpec | None, ...] | None = None
     wmrqm: Wmrqm | None = None
-    iterations: int = 1
     return_channel: NoiseSpec | None = None
 
     def __post_init__(self) -> None:
@@ -208,16 +205,12 @@ class ProtocolConfig:
             raise ValueError(
                 f"at most {MAX_PARTIES} receivers ({MAX_PARTIES + 1} qubits), got {self.parties}"
             )
-        if self.iterations < 1:
-            raise ValueError(f"need at least 1 iteration, got {self.iterations}")
-        if self.iterations > MAX_ITERATIONS:
-            raise ValueError(f"at most {MAX_ITERATIONS} iterations, got {self.iterations}")
         secrets = tuple(self.secrets)
         object.__setattr__(self, "secrets", secrets)
-        if len(secrets) != self.iterations:
-            raise ValueError(
-                f"got {len(secrets)} secrets for {self.iterations} iteration(s)"
-            )
+        if not secrets:
+            raise ValueError("need at least 1 iteration, got 0")
+        if len(secrets) > MAX_ITERATIONS:
+            raise ValueError(f"at most {MAX_ITERATIONS} iterations, got {len(secrets)}")
         if isinstance(self.channel, (list, tuple)):
             channel = tuple(self.channel)
             if len(channel) != len(self.transmitted_qubits):
@@ -226,6 +219,11 @@ class ProtocolConfig:
                     f" entries, got {len(channel)}"
                 )
             object.__setattr__(self, "channel", channel)
+
+    @property
+    def iterations(self) -> int:
+        """Number of rounds: one per secret."""
+        return len(self.secrets)
 
     @property
     def num_qubits(self) -> int:
@@ -266,22 +264,6 @@ class IterationReport:
     reconstructed_state: DensityMatrix | None
     fidelity: float | None
     branch_probability: float
-
-
-@dataclass(frozen=True)
-class ProtocolState:
-    """Carry-over between iterations: one entry per surviving branch.
-
-    Each branch records its joint probability and the helpers' collapsed
-    qubits (as Hadamard-basis outcome labels, which determine the returned
-    pure states exactly). ``advance`` sums these weights, times the reset
-    outcome probabilities of the returned qubits, into the one weight that
-    scales the next iteration.
-    """
-
-    parties: int
-    next_iteration: int
-    branches: tuple[tuple[float, tuple[str, ...]], ...]
 
 
 # Correction applied by the reconstructor, keyed by the dealer's bit and the
@@ -353,19 +335,19 @@ def encode_secret(secret: Secret, resource: PureState) -> PureState:
     between it and the dealer's qubit (position 1) produces the shared
     (n+1)-qubit state.
     """
-    return PureState(_encoded_amplitudes([secret], resource)[0])
-
-
-def _encoded_amplitudes(secrets: Sequence[Secret], resource: PureState) -> np.ndarray:
-    """``encode_secret`` of each secret, as a ``(batch, 2^(n+1))`` stack of
-    amplitudes: the resource is checked, the Kronecker products formed by
-    broadcasting, the XOR applied by one matmul and every norm checked, once
-    for all of them."""
     n = resource.num_qubits
     if not np.allclose(resource.amplitudes, _ghz(n), rtol=0.0, atol=ATOL):
         raise ValueError("resource is not the GHZ state produced by make_resource")
+    return PureState(_encoded_amplitudes([secret], n)[0])
+
+
+def _encoded_amplitudes(secrets: Sequence[Secret], n: int) -> np.ndarray:
+    """``encode_secret`` of each secret on the n-qubit GHZ resource, as a
+    ``(batch, 2^(n+1))`` stack of amplitudes: the Kronecker products formed
+    by broadcasting, the XOR applied by one matmul and every norm checked,
+    once for all of them."""
     vecs = np.array([s.vector() for s in secrets]).reshape(-1, 2, 1)
-    amps = (_cnot(0, 1, n + 1) @ (vecs * resource.amplitudes).reshape(len(secrets), -1, 1))[..., 0]
+    amps = (_cnot(0, 1, n + 1) @ (vecs * _ghz(n)).reshape(len(secrets), -1, 1))[..., 0]
     _check_norms(np.einsum("bi,bi->b", amps.conj(), amps).real)
     return amps
 
@@ -416,7 +398,7 @@ def _project_branches(mat: np.ndarray, measurements: Sequence, m: int) -> tuple[
 def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
     """Stack of ``|psi><psi|``, one per secret encoded on a fresh n-qubit
     resource; each is the elementwise ``np.outer`` of its amplitudes."""
-    amps = _encoded_amplitudes(secrets, make_resource(n))
+    amps = _encoded_amplitudes(secrets, n)
     return amps[:, :, None] * amps.conj()[:, None, :]
 
 
@@ -451,19 +433,13 @@ def _operator_passes(cfg: ProtocolConfig) -> list[tuple[int, object, tuple]]:
     return passes
 
 
-def _execute_iteration(
-    cfgs: Sequence[ProtocolConfig],
-    secrets: Sequence[Secret],
-    iteration_index: int,
-    scale: float,
-) -> tuple[list[IterationReport], list[tuple[float, tuple[str, ...]]]]:
+def _execute_iteration(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]) -> list[IterationReport]:
     """Run one iteration on the freshly encoded register of each secret,
     the i-th under ``cfgs[i]``; the configs share one ``_layout``.
 
-    ``scale`` multiplies every branch probability (joint weight of the
-    history that led to this iteration). Returns the per-branch reports
-    plus the surviving branches for the next iteration, both secret-major:
-    all of the first secret's branches, then the second's, and so on.
+    Returns the per-branch reports as round 0's, with unscaled
+    probabilities, secret-major: all of the first secret's branches, then
+    the second's, and so on.
 
     The registers of all secrets form one stack, so each operator and
     projection is one call over the stack. The passes before the walk (weak
@@ -518,29 +494,15 @@ def _execute_iteration(
     fixed = u @ (bob[secret_idx, leaf_idx] / live_probs[:, None, None]) @ u.conj().transpose(0, 2, 1)
     secret_vecs = np.array([s.vector() for s in secrets])
     fids = _qubit_fidelity(secret_vecs[secret_idx], fixed).tolist()
-    # (state, fidelity, weight) per secret and leaf; a zero branch carries none.
+    # (state, fidelity, probability) per secret and leaf; a zero branch carries none.
     rows = [[(None, None, 0.0)] * len(leaves) for _ in secrets]
     for i, j, mat, fid, prob in zip(secret_idx.tolist(), leaf_idx.tolist(), fixed, fids, live_probs.tolist()):
-        rows[i][j] = (DensityMatrix(mat), fid, prob * scale)
-
-    reports: list[IterationReport] = []
-    chain: list[tuple[float, tuple[str, ...]]] = []
-    for row in rows:
-        for (a, outcomes, key), (state, fid, weight) in zip(leaves, row):
-            if state is not None:
-                chain.append((weight, outcomes))
-            reports.append(
-                IterationReport(
-                    iteration_index=iteration_index,
-                    alice_outcome=a,
-                    collaborator_outcomes=outcomes,
-                    correction_applied=_CORRECTION_LABELS[key],
-                    reconstructed_state=state,
-                    fidelity=fid,
-                    branch_probability=weight,
-                )
-            )
-    return reports, chain
+        rows[i][j] = (DensityMatrix(mat), fid, prob)
+    return [
+        IterationReport(0, a, outcomes, _CORRECTION_LABELS[key], state, fid, prob)
+        for row in rows
+        for (a, outcomes, key), (state, fid, prob) in zip(leaves, row)
+    ]
 
 
 def run_iterations(
@@ -555,8 +517,8 @@ def run_iterations(
     is on; strengths may differ. Otherwise ``ValueError`` is raised before
     anything is simulated. Each secret runs on its own fresh resource, so
     the results do not depend on which secrets, or which configs, share a
-    call. ``iterations``, ``secrets`` and ``return_channel`` of a config
-    are not used. Registers are stacked ``STACK_ENTRIES // 4^m`` at a time
+    call. The ``secrets`` and ``return_channel`` of a config are not
+    used. Registers are stacked ``STACK_ENTRIES // 4^m`` at a time
     on m qubits (at least one).
     """
     secrets = list(secrets)
@@ -572,7 +534,7 @@ def run_iterations(
     reports: list[IterationReport] = []
     for start in range(0, len(secrets), step):
         stop = start + step
-        reports += _execute_iteration(cfgs[start:stop], secrets[start:stop], iteration_index=0, scale=1.0)[0]
+        reports += _execute_iteration(cfgs[start:stop], secrets[start:stop])
     per = 2 ** cfgs[0].parties  # dealer outcome times each helper's
     return [reports[i : i + per] for i in range(0, len(reports), per)]
 
@@ -607,7 +569,7 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
     table correction it applied. The off-diagonal images follow as
     ``Phi(|0><1|) = Phi(+) + i Phi(+i) - (1+i)/2 (Phi(0) + Phi(1))`` and
     ``Phi(|1><0|) = Phi(+) - i Phi(+i) - (1-i)/2 (Phi(0) + Phi(1))``.
-    ``cfg.secrets``, ``iterations`` and ``return_channel`` are not used.
+    ``cfg.secrets`` and ``cfg.return_channel`` are not used.
     """
     h = 1.0 / np.sqrt(2.0)
     inputs = [Secret(alpha, beta) for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (h, h), (h, 1j * h))]
@@ -635,13 +597,6 @@ def branch_maps(cfg: ProtocolConfig) -> dict[tuple[int, tuple[str, ...]], np.nda
     return maps
 
 
-def start_chain(cfg: ProtocolConfig) -> tuple[ProtocolState, list[IterationReport]]:
-    """Run the first iteration on ``cfg.secrets[0]`` and keep the carry-over
-    state for recycling."""
-    reports, chain = _execute_iteration([cfg], cfg.secrets[:1], iteration_index=0, scale=1.0)
-    return ProtocolState(cfg.parties, 1, tuple(chain)), reports
-
-
 def _reset_to_zero(state: DensityMatrix) -> list[tuple[float, np.ndarray]]:
     """Dealer's reset of a returned qubit: measure, flip to |0> if needed.
 
@@ -664,27 +619,30 @@ _OUTCOME_STATES = {"+": KET_PLUS, "-": KET_MINUS}
 _ZERO_STATE = np.outer(KET_0, KET_0.conj())
 
 
-def advance(
-    prev: ProtocolState, secret: Secret, cfg: ProtocolConfig
-) -> tuple[ProtocolState, list[IterationReport]]:
-    """Recycle the helpers' qubits and share the next secret.
+def advance(prev: Sequence[IterationReport], secret: Secret, cfg: ProtocolConfig) -> list[IterationReport]:
+    """Recycle the helpers' qubits after the round ``prev`` and share the
+    next secret: the next round's reports.
 
-    The returned qubits (optionally noisy on the way back) are measured and
+    Each live report of ``prev`` carries its probability and the helpers'
+    announced labels, which determine their collapsed qubits exactly. The
+    returned qubits (optionally noisy on the way back) are measured and
     flipped to ``|0>``, and a fresh ``|+>`` heads the XOR chain that
-    rebuilds the resource. A returned qubit is determined by its announced
-    label, so the return trip and the reset are computed once per label
-    (``+``, ``-``), and each surviving reset state is checked to be
-    ``|0><0|`` to within ``LINALG_ATOL`` per entry (the outcome-1 reset
-    divides and flips, so its diagonal may read 1 - 2^-53). That check is
-    what makes recycling exact: the rebuilt resource is ``make_resource``'s,
-    so the next iteration runs once on the fresh encoded register, scaled by
-    the total weight of every carried branch and reset outcome.
+    rebuilds the resource. A returned qubit is determined by its label, so
+    the return trip and the reset are computed once per label (``+``,
+    ``-``), and each surviving reset state is checked to be ``|0><0|`` to
+    within ``LINALG_ATOL`` per entry (the outcome-1 reset divides and
+    flips, so its diagonal may read 1 - 2^-53). That check is what makes
+    recycling exact: the rebuilt resource is ``make_resource``'s, so the
+    next round is one run on the fresh encoded register, its probabilities
+    scaled by the total weight of every carried branch and reset outcome.
+    Without a live report in ``prev`` nothing is carried and the round is
+    empty.
     """
-    if prev.parties != cfg.parties:
-        raise ValueError("carry-over state and config disagree on party count")
-    n = cfg.parties
-    if not prev.branches:
-        return ProtocolState(n, prev.next_iteration + 1, ()), []
+    if prev and len(prev[0].collaborator_outcomes) != cfg.parties - 1:
+        raise ValueError("previous round and config disagree on party count")
+    carried = [(r.branch_probability, r.collaborator_outcomes) for r in prev if r.reconstructed_state is not None]
+    if not carried:
+        return []
 
     resets: dict[str, list[tuple[float, np.ndarray]]] = {}
     for label, vec in _OUTCOME_STATES.items():
@@ -703,26 +661,28 @@ def advance(
     # ``itertools.product`` order.
     probs = {label: [p for p, _ in states] for label, states in resets.items()}
     weight = 0.0
-    for w, outcomes in prev.branches:
+    for w, outcomes in carried:
         prods = [1.0]
         for o in outcomes:
             prods = [x * p for x in prods for p in probs[o]]
         for x in prods:
             weight += w * x
 
-    reports, chain = _execute_iteration(
-        [cfg], [secret], iteration_index=prev.next_iteration, scale=weight
-    )
-    return ProtocolState(n, prev.next_iteration + 1, tuple(chain)), reports
+    index = prev[0].iteration_index + 1
+    return [
+        IterationReport(
+            index, r.alice_outcome, r.collaborator_outcomes, r.correction_applied,
+            r.reconstructed_state, r.fidelity, r.branch_probability * weight,
+        )
+        for r in _execute_iteration([cfg], [secret])
+    ]
 
 
 def run_protocol(cfg: ProtocolConfig) -> list[list[IterationReport]]:
     """Run every configured iteration, recycling qubits in between."""
-    state, reports = start_chain(cfg)
-    out = [reports]
+    out = [run_iteration(cfg, cfg.secrets[0])]
     for secret in cfg.secrets[1:]:
-        state, reports = advance(state, secret, cfg)
-        out.append(reports)
+        out.append(advance(out[-1], secret, cfg))
     return out
 
 

@@ -46,7 +46,6 @@ from qss_sim.protocol import (
     encode_secret,
     make_resource,
     run_iteration,
-    start_chain,
     advance,
     success_probability,
 )
@@ -162,8 +161,7 @@ def test_criterion_4_sequential_independence(rng):
                         cfg2 = ProtocolConfig(
                             parties=2, secrets=(secret,), channel=NoiseSpec(kind, float(noise2))
                         )
-                        state, _ = start_chain(cfg1)
-                        _, chained = advance(state, secret, cfg2)
+                        chained = advance(run_iteration(cfg1, secret), secret, cfg2)
                         single = {
                             (r.alice_outcome, r.collaborator_outcomes): r.fidelity
                             for r in run_iteration(cfg2, secret)

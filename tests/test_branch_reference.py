@@ -68,7 +68,7 @@ from qss_sim.protocol import (
     advance,
     run_iteration,
     run_iterations,
-    start_chain,
+    run_protocol,
 )
 
 _PROJECTORS = protocol._BASIS_PROJECTORS
@@ -240,6 +240,12 @@ def reference_advance(branches, next_iteration, secret, cfg):
     return [w for w, _ in merged], next_branches, all_reports
 
 
+def _bits(x):
+    """A float's exact value as text (the sign of a zero counts); ``None``
+    stays ``None``."""
+    return None if x is None else float.hex(x)
+
+
 def assert_reports_identical(new, ref):
     assert len(new) == len(ref)
     for r, e in zip(new, ref):
@@ -247,29 +253,27 @@ def assert_reports_identical(new, ref):
         assert r.alice_outcome == e.alice_outcome
         assert r.collaborator_outcomes == e.collaborator_outcomes
         assert r.correction_applied == e.correction_applied
-        assert r.branch_probability == e.branch_probability
-        assert r.fidelity == e.fidelity
+        assert _bits(r.branch_probability) == _bits(e.branch_probability)
+        assert _bits(r.fidelity) == _bits(e.fidelity)
         if e.reconstructed_state is None:
             assert r.reconstructed_state is None
         else:
-            assert np.array_equal(r.reconstructed_state.matrix, e.reconstructed_state.matrix)
+            assert r.reconstructed_state.matrix.tobytes() == e.reconstructed_state.matrix.tobytes()
 
 
 def assert_matches_reference(cfg):
-    secret = cfg.secrets[0]
-    state, reports = start_chain(cfg)
-    ref_reports, ref_chain = reference_execute(cfg, secret, 0, 1.0)
-    assert_reports_identical(reports, ref_reports)
-    assert state.branches == tuple(ref_chain)
-
-    for i, secret in enumerate(cfg.secrets[1:], start=1):
-        weights, ref_chain, ref_reports = reference_advance(state.branches, i, secret, cfg)
+    """``run_protocol`` against a loop of ``reference_execute`` and
+    ``reference_merge``, round by round, on the reference's own carried
+    branches."""
+    rounds = run_protocol(cfg)
+    assert len(rounds) == len(cfg.secrets)
+    ref_reports, ref_chain = reference_execute(cfg, cfg.secrets[0], 0, 1.0)
+    assert_reports_identical(rounds[0], ref_reports)
+    for i, (secret, reports) in enumerate(zip(cfg.secrets[1:], rounds[1:]), start=1):
+        weights, ref_chain, ref_reports = reference_advance(ref_chain, i, secret, cfg)
         # The reset lands every combination on |0>, so the merge keeps one state.
         assert len(weights) <= 1
-        state, reports = advance(state, secret, cfg)
-        assert state.next_iteration == i + 1
         assert_reports_identical(reports, ref_reports)
-        assert state.branches == tuple(ref_chain)
 
 
 unit = st.floats(0.0, 1.0)
@@ -277,14 +281,13 @@ noise = st.builds(NoiseSpec, st.sampled_from(["pdc", "adc"]), unit)
 
 
 @st.composite
-def protocol_configs(draw, parties):
-    rounds = draw(st.integers(1, 3))
+def protocol_configs(draw, parties, max_rounds=3):
+    rounds = draw(st.integers(1, max_rounds))
     return ProtocolConfig(
         parties=parties,
         secrets=tuple(Secret.from_k(draw(unit)) for _ in range(rounds)),
         channel=draw(noise),
         wmrqm=draw(st.none() | st.builds(Wmrqm, unit, unit)),
-        iterations=rounds,
         return_channel=draw(st.none() | noise),
     )
 
@@ -303,10 +306,20 @@ def test_matches_flat_reference_six_parties():
             secrets=(Secret.from_k(0.37), Secret.from_k(0.81)),
             channel=NoiseSpec("adc", 0.45),
             wmrqm=Wmrqm(0.3, 0.25),
-            iterations=2,
             return_channel=NoiseSpec("adc", 0.5),
         )
     )
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_long_chains_match_flat_reference(parties, data):
+    """Up to 50 rounds, with and without protection and a return channel:
+    every round's reports keep the reference's bits, so no carried weight
+    drifts as the chain grows. Budget: about 3 s for both party counts
+    (2-CPU x86-64)."""
+    assert_matches_reference(data.draw(protocol_configs(parties, max_rounds=50)))
 
 
 def test_subnormal_branch_matches_flat_reference():
@@ -517,13 +530,13 @@ def test_nan_branch_is_refused_not_dropped(monkeypatch):
 
 
 def test_reset_that_misses_zero_is_loud(monkeypatch):
-    cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.4),) * 2, iterations=2)
-    state, _ = start_chain(cfg)
+    cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.4),) * 2)
+    first = run_iteration(cfg, cfg.secrets[0])
     monkeypatch.setattr(
         protocol, "_reset_to_zero", lambda returned: [(1.0, returned.matrix)]
     )
     with pytest.raises(RuntimeError, match="did not land on"):
-        advance(state, cfg.secrets[1], cfg)
+        advance(first, cfg.secrets[1], cfg)
 
 
 RETURN_CHANNELS = [None] + [
@@ -591,13 +604,15 @@ def test_round_k_equals_round_one_on_the_same_secret(parties, protected):
         secrets=tuple(Secret.from_k(k) for k in (0.37, 0.81, 0.12)[:rounds]),
         channel=NoiseSpec("adc", 0.45),
         wmrqm=Wmrqm(0.3, 0.25) if protected else None,
-        iterations=rounds,
         return_channel=NoiseSpec("adc", 0.5) if protected else None,
     )
-    state, _ = start_chain(cfg)
+    reports = run_iteration(cfg, cfg.secrets[0])
     for secret in cfg.secrets[1:]:
-        (w, _), = reference_merge(state.branches, cfg)
-        state, reports = advance(state, secret, cfg)
+        carried = [
+            (r.branch_probability, r.collaborator_outcomes) for r in reports if r.reconstructed_state is not None
+        ]
+        (w, _), = reference_merge(carried, cfg)
+        reports = advance(reports, secret, cfg)
         single = run_iteration(cfg, secret)
         assert len(reports) == len(single) == 2**parties
         for r, s in zip(reports, single):

@@ -107,6 +107,16 @@ class TestApplyChannel:
         assert_allclose(bob, expected, atol=1e-12)
         assert prob == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("qubit", [-1, 2, 5])
+    def test_qubit_outside_the_register_is_refused(self, rng, qubit):
+        with pytest.raises(ValueError, match=f"qubit {qubit} is outside a 2-qubit register"):
+            apply_channel(random_density(rng, 2), adc(0.3), qubit)
+
+    def test_operators_that_are_not_2x2_are_refused(self, rng):
+        two_qubit = KrausChannel((np.eye(4),))
+        with pytest.raises(ValueError, match="needs 2x2 Kraus operators"):
+            apply_channel(random_density(rng, 2), two_qubit, 0)
+
 
 # Kraus sets of one kind, one per register of a stack. A half of an
 # operator (its diagonal or anti-diagonal) that is zero in some registers
@@ -292,6 +302,12 @@ class TestValidateCptp:
         residual = validate_cptp((base.operators[0] * 1.01, base.operators[1]))
         assert residual > 1e-3
         assert residual == pytest.approx(1.01**2 - 1, abs=1e-2)
+
+    def test_empty_operator_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            validate_cptp(())
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            KrausChannel(())
 
     def test_constructor_rejects_incomplete_operators(self):
         base = adc(0.3)

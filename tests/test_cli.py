@@ -53,6 +53,15 @@ class TestRunConfig:
         assert cfg.wmrqm.s == 0.1 and cfg.wmrqm.r == 0.2
         assert cfg.return_channel.kind == "pdc"
 
+    def test_secret_count_mismatch(self):
+        with pytest.raises(ConfigValidationError, match=r"got 1 secrets for 2 iteration\(s\)"):
+            run_config_from_text("parties = 2\niterations = 2\nsecrets = 0.5\n")
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_needs_at_least_one_iteration(self, iterations):
+        with pytest.raises(ConfigValidationError, match=f"need at least 1 iteration, got {iterations}"):
+            run_config_from_text(f"parties = 2\niterations = {iterations}\nsecret_k = 0.5\n")
+
     def test_validation_errors(self):
         with pytest.raises(ConfigValidationError):
             run_config_from_text("parties = 2\n")  # no secret
@@ -204,7 +213,7 @@ class TestRunCommand:
         assert f"at most {MAX_ITERATIONS} iterations" in captured.err
         secrets = (Secret.from_k(0.5),) * (MAX_ITERATIONS + 1)
         with pytest.raises(ValueError, match=f"at most {MAX_ITERATIONS} iterations"):
-            ProtocolConfig(parties=2, secrets=secrets, iterations=MAX_ITERATIONS + 1)
+            ProtocolConfig(parties=2, secrets=secrets)
 
     def test_report_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -53,7 +53,6 @@ def protocol_configs(draw, parties, wmrqm=st.none() | st.builds(Wmrqm, unit, uni
         secrets=tuple(draw(secrets()) for _ in range(rounds)),
         channel=draw(noise | st.tuples(*[noise] * parties)),
         wmrqm=draw(wmrqm),
-        iterations=rounds,
         return_channel=draw(noise),
     )
 
@@ -90,7 +89,6 @@ def test_protected_branch_probabilities_sum_to_sp2(cfg, p):
         secrets=cfg.secrets,
         channel=NoiseSpec("adc", p),
         wmrqm=cfg.wmrqm,
-        iterations=cfg.iterations,
         return_channel=cfg.return_channel,
     )
     s, r = cfg.wmrqm.s, cfg.wmrqm.r

@@ -22,7 +22,6 @@ from qss_sim.protocol import (
     make_resource,
     run_iteration,
     run_protocol,
-    start_chain,
     success_probability,
 )
 
@@ -104,7 +103,7 @@ class TestEncodeSecret:
             resource = make_resource(n)
             cnot = embed(np.eye(4)[[0, 1, 3, 2]], [0, 1], n + 1)
             batch = [random_secret(rng) for _ in range(5)] + [Secret(5e-324, 1.0)]
-            amps = _encoded_amplitudes(batch, resource)
+            amps = _encoded_amplitudes(batch, n)
             for row, secret in zip(amps, batch):
                 expected = cnot @ np.kron(secret.vector(), resource.amplitudes)
                 assert row.tobytes() == expected.tobytes()
@@ -339,7 +338,7 @@ class TestSecrecy:
 class TestSequentialRuns:
     def test_two_noiseless_iterations(self):
         secrets = (Secret.from_k(0.3), Secret.from_k(0.8))
-        cfg = ProtocolConfig(parties=2, secrets=secrets, iterations=2)
+        cfg = ProtocolConfig(parties=2, secrets=secrets)
         for reports in run_protocol(cfg):
             assert success_probability(reports) == pytest.approx(1.0, abs=1e-10)
             for r in reports:
@@ -349,8 +348,7 @@ class TestSequentialRuns:
         s1, s2 = Secret.from_k(0.25), Secret.from_k(0.65)
         cfg1 = ProtocolConfig(parties=2, secrets=(s1,), channel=NoiseSpec("adc", 0.9))
         cfg2 = ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.3))
-        state, _ = start_chain(cfg1)
-        _, chained = advance(state, s2, cfg2)
+        chained = advance(run_iteration(cfg1, s1), s2, cfg2)
         single = run_iteration(cfg2, s2)
         by_branch = {(r.alice_outcome, r.collaborator_outcomes): r for r in single}
         for r in chained:
@@ -368,8 +366,7 @@ class TestSequentialRuns:
             channel=NoiseSpec("adc", 0.4),
             return_channel=NoiseSpec("adc", 0.8),
         )
-        state, _ = start_chain(cfg1)
-        _, chained = advance(state, s2, cfg2)
+        chained = advance(run_iteration(cfg1, s1), s2, cfg2)
         single = run_iteration(
             ProtocolConfig(parties=2, secrets=(s2,), channel=NoiseSpec("adc", 0.4)), s2
         )
@@ -380,7 +377,7 @@ class TestSequentialRuns:
     def test_three_party_chain(self):
         secrets = (Secret.from_k(0.3), Secret.from_k(0.6))
         cfg = ProtocolConfig(
-            parties=3, secrets=secrets, iterations=2, channel=NoiseSpec("adc", 0.5)
+            parties=3, secrets=secrets, channel=NoiseSpec("adc", 0.5)
         )
         runs = run_protocol(cfg)
         assert len(runs) == 2
@@ -395,13 +392,27 @@ class TestSequentialRuns:
     def test_advance_updates_state(self):
         secrets = (Secret.from_k(0.3), Secret.from_k(0.6), Secret.from_k(0.9))
         cfg = ProtocolConfig(parties=2, secrets=(secrets[0],))
-        state, _ = start_chain(cfg)
+        reports = run_iteration(cfg, secrets[0])
         for i, secret in enumerate(secrets[1:], start=1):
             nxt = ProtocolConfig(parties=2, secrets=(secret,))
-            state, reports = advance(state, secret, nxt)
+            reports = advance(reports, secret, nxt)
             assert {r.iteration_index for r in reports} == {i}
             for r in reports:
                 assert r.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_advance_without_a_live_branch_is_empty(self):
+        cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.0),), wmrqm=Wmrqm(1.0, 0.0))
+        # s = 1 keeps only |0> on the helpers' legs: every branch of k = 0 is zero
+        dead = run_iteration(cfg, cfg.secrets[0])
+        assert dead and all(r.reconstructed_state is None for r in dead)
+        assert advance(dead, Secret.from_k(0.5), cfg) == []
+        assert advance([], Secret.from_k(0.5), cfg) == []
+
+    def test_advance_refuses_a_round_of_another_party_count(self):
+        two = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.3),))
+        three = ProtocolConfig(parties=3, secrets=(Secret.from_k(0.3),))
+        with pytest.raises(ValueError, match="disagree on party count"):
+            advance(run_iteration(two, two.secrets[0]), Secret.from_k(0.5), three)
 
     def test_run_leaves_no_reference_cycles(self):
         # Registers and projectors must be freed by reference counting when
@@ -409,7 +420,6 @@ class TestSequentialRuns:
         cfg = ProtocolConfig(
             parties=4,
             secrets=(Secret.from_k(0.3), Secret.from_k(0.7)),
-            iterations=2,
             channel=NoiseSpec("adc", 0.4),
             wmrqm=Wmrqm(0.3, 0.2),
             return_channel=NoiseSpec("adc", 0.5),
@@ -428,14 +438,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(parties=1, secrets=(Secret.from_k(0.5),))
 
-    def test_secret_count_mismatch(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(parties=2, secrets=(Secret.from_k(0.5),), iterations=2)
+    def test_iterations_is_the_secret_count(self):
+        secrets = (Secret.from_k(0.5),) * 3
+        assert ProtocolConfig(parties=2, secrets=secrets).iterations == 3
+        with pytest.raises(TypeError):
+            ProtocolConfig(parties=2, secrets=secrets, iterations=3)
 
-    @pytest.mark.parametrize("iterations", [0, -1])
-    def test_needs_at_least_one_iteration(self, iterations):
-        with pytest.raises(ValueError, match="at least 1 iteration"):
-            ProtocolConfig(parties=2, secrets=(), iterations=iterations)
+    def test_needs_at_least_one_iteration(self):
+        with pytest.raises(ValueError, match="need at least 1 iteration, got 0"):
+            ProtocolConfig(parties=2, secrets=())
 
     def test_channel_list_length(self):
         with pytest.raises(ValueError):
