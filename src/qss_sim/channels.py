@@ -112,135 +112,100 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, qubit: int) -> DensityMa
     return DensityMatrix(_apply_channel_matrix(rho.matrix, ch.operators, qubit, rho.num_qubits))
 
 
-def _apply_channel_matrix(
-    mat: np.ndarray, operators: Sequence, qubit: int, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``sum_i E_i mat E_i^dag`` for 2x2 operators ``E_i`` on one qubit,
-    written into ``out`` (a new array if ``None``; ``out`` may be ``mat``).
+def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: int) -> np.ndarray:
+    """``sum_i E_i mat E_i^dag`` for 2x2 operators ``E_i`` on one qubit, as a
+    new array.
 
-    The one place a single-qubit operation meets the register, branch walk
-    included. It works on the qubit's four (row bit, column bit) blocks
-    ``X_kl`` at O(4^m), not O(8^m), and a product whose coefficient is zero
-    is left out: block ``(i, j)`` of ``E X E^dag`` is ``sum_l conj(E_jl)
-    H_il`` over the nonzero ``E_jl``, diagonal entry first, of ``H_il =
-    sum_k E_ik X_kl`` over the nonzero ``E_ik``, likewise; the terms are
-    added in operator order, and a block no product reaches is ``0``. A
-    diagonal ``E`` with both entries nonzero is two contiguous multiplies
-    over the register, by a coefficient per row and then one per column,
-    which may run in place; with all four entries nonzero a product with
-    the other bit's rows (columns) is added to each. Any other ``E`` costs
-    a product per row half it writes and one per block it reaches: adc's
-    ``sqrt(p)|0><1|`` and a computational projector each reach one
-    quarter of the register. Against the sum over every entry only an
-    intermediate zero's sign can differ. For real ``E`` this rounds as a
-    dense ``embed(E) @ mat @ embed(E)^dag`` does without fused multiply-add.
+    ``apply_channel`` and recycling's resets call it; a protocol round runs
+    its passes on the register's support and its branch walk on kept blocks
+    (``qss_sim.protocol``), with the same products. It works
+    on the qubit's four (row bit, column bit) blocks ``X_kl`` at O(4^m),
+    not O(8^m), and a product whose coefficient is zero is left out: block
+    ``(i, j)`` of ``E X E^dag`` is ``sum_l conj(E_jl) H_il`` over the
+    nonzero ``E_jl``, diagonal entry first, of ``H_il = sum_k E_ik X_kl``
+    over the nonzero ``E_ik``, likewise; the terms are added in operator
+    order, and a block no product reaches is ``0``. A diagonal ``E`` with
+    both entries nonzero is two contiguous multiplies over the register, by
+    a coefficient per row and then one per column; with all four entries
+    nonzero a product with the other bit's rows (columns) is added to each.
+    Any other ``E`` costs a product per row half it writes and one per
+    block it reaches: adc's ``sqrt(p)|0><1|`` and a computational projector
+    each reach one quarter of the register. Against the sum over every
+    entry only an intermediate zero's sign can differ. For real ``E`` this
+    rounds as a dense ``embed(E) @ mat @ embed(E)^dag`` does without fused
+    multiply-add.
 
     ``mat`` may also be a ``(..., 2^m, 2^m)`` stack of registers: every
     register gets the same elementwise arithmetic, so each result has the
-    bytes it would have on its own. Each ``E_i`` is then either one 2x2
-    operator shared by the stack or a ``(batch, 2, 2)`` stack of them, one
-    per register of a ``(batch, 2^m, 2^m)`` ``mat``; registers whose
-    operators have their zeros in different places are computed in groups,
-    one per zero pattern, so that none gets a product its own call leaves
-    out.
+    bytes it would have on its own.
     """
-    ops = [e.reshape(-1, 2, 2) for e in operators]  # one per register, or one for all
-    batch = max(map(len, ops))
-    # Per operator and register, the nonzero entries (E00, E01, E10, E11)
-    flags = [e.reshape(-1, 4) != 0 for e in ops]
-    out = np.empty_like(mat) if out is None else out
-    if all(len(f) == 1 or (f == f[0]).all() for f in flags):
-        _sandwich(mat, ops, tuple(tuple(f[0].tolist()) for f in flags), qubit, m, out)
-        return out
-    groups: dict[tuple, list] = {}
-    per_register = zip(*(f.tolist() if len(f) > 1 else f.tolist() * batch for f in flags))
-    for r, pattern in enumerate(per_register):
-        groups.setdefault(tuple(map(tuple, pattern)), []).append(r)
-    regs, dest = mat.reshape(batch, 2**m, 2**m), out.reshape(batch, 2**m, 2**m)
-    for pattern, idx in groups.items():
-        group = [e[idx] if len(e) > 1 else e for e in ops]
-        dest[idx] = _sandwich(regs[idx], group, pattern, qubit, m, np.empty_like(regs[idx]))
-    return out
-
-
-def _sandwich(mat: np.ndarray, ops: list, pattern: tuple, qubit: int, m: int, out: np.ndarray) -> np.ndarray:
-    """``_apply_channel_matrix`` for operators whose nonzero entries,
-    ``pattern``, lie in the same places in every register."""
-    batch, lo, hi = max(map(len, ops)), 2**qubit, 2 ** (m - qubit - 1)
-    live = [(e, nz) for e, nz in zip(ops, pattern) if any(nz)]
-    # Every later term is read from mat before the first is written into out, which may be mat
-    later = [_term(mat, e, nz, batch, qubit, m) for e, nz in live[1:]]
-    written = set(_term(mat, *live[0], batch, qubit, m, out) if live else ())
-    if later or len(written) < 4:
-        acc = out.reshape(batch, -1, 2, hi, lo, 2, hi)  # axes 2 and 5: the qubit's row and column bit
-        for term in later:
-            for (i, j), block in term.items():
-                dst = acc[:, :, i, :, :, j]
-                if (i, j) in written:
-                    dst += block
-                else:
-                    dst[...] = block
-                    written.add((i, j))
-        for i, j in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
-            acc[:, :, i, :, :, j] = 0
+    lo, hi = 2**qubit, 2 ** (m - qubit - 1)
+    flags = [tuple((e.reshape(4) != 0).tolist()) for e in operators]  # nonzero E00, E01, E10, E11
+    live = [(e, nz) for e, nz in zip(operators, flags) if any(nz)]
+    out = np.empty_like(mat)
+    written = set(_term(mat, *live[0], qubit, m, out) if live else ())
+    acc = out.reshape(-1, 2, hi, lo, 2, hi)  # axes 1 and 4: the qubit's row and column bit
+    for e, nz in live[1:]:
+        for (i, j), block in _term(mat, e, nz, qubit, m).items():
+            dst = acc[:, i, :, :, j]
+            if (i, j) in written:
+                dst += block
+            else:
+                dst[...] = block
+                written.add((i, j))
+    for i, j in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
+        acc[:, i, :, :, j] = 0
     return out
 
 
 _DIAGONAL, _FULL = (True, False, False, True), (True,) * 4
 
 
-def _term(
-    mat: np.ndarray, e: np.ndarray, nz: tuple, batch: int, qubit: int, m: int, out: np.ndarray | None = None
-) -> dict:
-    """The blocks ``{(i, j): block}`` of ``E mat E^dag`` that one operator
-    ``e`` (one per register, or one for all) with nonzero entries ``nz``
-    reaches, with ``mat`` split into ``batch`` parts on axis 0: new arrays,
-    or views of ``out`` (which may be ``mat``), written once every read of
-    ``mat`` is done. A term with every entry nonzero, or just the diagonal
-    ones, covers the register; its diagonal column product runs along whole
-    rows, a coefficient per column, not along runs of ``2^(m-qubit-1)``
+def _term(mat: np.ndarray, e: np.ndarray, nz: tuple, qubit: int, m: int, out: np.ndarray | None = None) -> dict:
+    """The blocks ``{(i, j): block}`` of ``E mat E^dag`` that one 2x2
+    operator ``e`` with nonzero entries ``nz`` reaches: new arrays, or views
+    of ``out``. A term with every entry nonzero, or just the diagonal ones,
+    covers the register; its diagonal column product runs along whole rows,
+    a coefficient per column, not along runs of ``2^(m-qubit-1)``
     columns."""
     lo, hi, dim = 2**qubit, 2 ** (m - qubit - 1), 2**m
     if nz in (_DIAGONAL, _FULL):
         out = np.empty_like(mat) if out is None else out
-        d = e.diagonal(0, 1, 2)[:, None, :, None]  # E_ii for row bit i
-        rows, half = mat.reshape(batch, -1, 2, hi * dim), out.reshape(batch, -1, 2, hi * dim)
+        d = e.diagonal()[:, None]  # E_ii for row bit i
+        rows, half = mat.reshape(-1, 2, hi * dim), out.reshape(-1, 2, hi * dim)
         if nz == _FULL:
-            a = e[:, :, ::-1].diagonal(0, 1, 2)[:, None, :, None]  # E_i,1-i
-            part = np.multiply(a, rows[:, :, ::-1])
+            a = e[:, ::-1].diagonal()[:, None]  # E_i,1-i
+            part = np.multiply(a, rows[:, ::-1])
         np.multiply(d, rows, out=half)
         if nz == _FULL:
             half += part
-            flipped = out.reshape(batch, -1, 2, hi)[:, :, ::-1]
+            flipped = out.reshape(-1, 2, hi)[:, ::-1]
             np.multiply(a.conj(), flipped, out=part.reshape(flipped.shape))
-        cols, along_row = out.reshape(batch, -1, dim), np.empty((len(e), lo, 2, hi), dtype=e.dtype)
+        cols, along_row = out.reshape(-1, dim), np.empty((lo, 2, hi), dtype=e.dtype)
         along_row[...] = d.conj()
-        np.multiply(along_row.reshape(len(e), 1, dim), cols, out=cols)
+        np.multiply(along_row.reshape(dim), cols, out=cols)
         if nz == _FULL:
             cols += part.reshape(cols.shape)
-        blocks = out.reshape(batch, -1, 2, hi, lo, 2, hi)
-        return {(i, j): blocks[:, :, i, :, :, j] for i in (0, 1) for j in (0, 1)}
-    x = mat.reshape(batch, -1, 2, hi, lo, 2, hi)
+        blocks = out.reshape(-1, 2, hi, lo, 2, hi)
+        return {(i, j): blocks[:, i, :, :, j] for i in (0, 1) for j in (0, 1)}
+    x = mat.reshape(-1, 2, hi, lo, 2, hi)
     # Per row bit i, each k with E_ik nonzero, the diagonal entry first
     sources = [[k for k in (i, 1 - i) if nz[2 * i + k]] for i in (0, 1)]
     live = [i for i in (0, 1) if sources[i]]
-    coef = e.reshape(len(e), 4, 1, 1, 1, 1, 1)  # E_ik at [:, 2i + k], against x's row halves
     halves = {}  # H_i = sum_k E_ik X_k
     for i in live:
         (k, *other) = sources[i]
-        halves[i] = np.multiply(coef[:, 2 * i + k], x[:, :, k])
+        halves[i] = np.multiply(e[i, k], x[:, k])
         for k in other:
-            halves[i] += np.multiply(coef[:, 2 * i + k], x[:, :, k])
-    coef, acc, terms = e.conj().reshape(len(e), 4, 1, 1, 1, 1), None, {}
-    if out is not None:
-        acc = out.reshape(x.shape)
+            halves[i] += np.multiply(e[i, k], x[:, k])
+    acc, terms = None if out is None else out.reshape(x.shape), {}
     for i in live:
         for j in live:
             (l, *other) = sources[j]
-            dst = None if acc is None else acc[:, :, i, :, :, j]
-            terms[i, j] = np.multiply(coef[:, 2 * j + l], halves[i][:, :, :, :, l], out=dst)
+            dst = None if acc is None else acc[:, i, :, :, j]
+            terms[i, j] = np.multiply(e[j, l].conj(), halves[i][:, :, :, l], out=dst)
             for l in other:
-                terms[i, j] += np.multiply(coef[:, 2 * j + l], halves[i][:, :, :, :, l])
+                terms[i, j] += np.multiply(e[j, l].conj(), halves[i][:, :, :, l])
     return terms
 
 

@@ -109,11 +109,11 @@ def run_config_from_text(text: str) -> ProtocolConfig:
             raise ConfigValidationError(f"{kind_key} = {kind} requires {strength_key}")
         return NoiseSpec(kind, _parse_float(pairs, strength_key))
 
-    wmrqm = None
+    strengths = None
     if ("wmrqm_s" in pairs) != ("wmrqm_r" in pairs):
         raise ConfigValidationError("wmrqm_s and wmrqm_r must be given together")
     if "wmrqm_s" in pairs:
-        wmrqm = Wmrqm(s=_parse_float(pairs, "wmrqm_s"), r=_parse_float(pairs, "wmrqm_r"))
+        strengths = _parse_float(pairs, "wmrqm_s"), _parse_float(pairs, "wmrqm_r")
 
     if iterations < 1:
         raise ConfigValidationError(f"need at least 1 iteration, got {iterations}")
@@ -124,7 +124,7 @@ def run_config_from_text(text: str) -> ProtocolConfig:
             parties=parties,
             secrets=tuple(Secret.from_k(k) for k in ks),
             channel=noise("channel", "strength"),
-            wmrqm=wmrqm,
+            wmrqm=None if strengths is None else Wmrqm(*strengths),
             return_channel=noise("return_channel", "return_strength"),
         )
     except ValueError as exc:

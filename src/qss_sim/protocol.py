@@ -33,6 +33,7 @@ sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,8 +88,9 @@ __all__ = [
 
 ALICE_QUBIT = 1
 
-# Largest receiver count: the register (receivers plus the dealer) is held
-# as a dense 2^m-square matrix, and 8 qubits is the documented cap.
+# Largest receiver count: the passes before the branch walk hold only the
+# register's support, but the walk holds the register (receivers plus the
+# dealer) as a dense 2^m-square matrix, and 8 qubits is the documented cap.
 MAX_PARTIES = 7
 
 # Largest iteration count. Runs use 1 to 3 rounds and the report grows with
@@ -98,8 +100,10 @@ MAX_PARTIES = 7
 MAX_ITERATIONS = 1000
 
 # Largest stack of registers ``run_iterations`` simulates in one pass, in
-# matrix entries (128 KiB of complex128); each branch-walk level stacks half
-# as many. That is 128 registers at 3 qubits, 4 at 5 and one from 7 qubits
+# entries of the dense registers the branch walk starts from (128 KiB of
+# complex128); the passes before the walk hold only the support, and each
+# walk level keeps one block per outcome, half as many entries as the level
+# before. That is 128 registers at 3 qubits, 4 at 5 and one from 7 qubits
 # up. At 3 qubits stacking removes most of the per-call overhead; at 7 or 8
 # qubits a stack of 21 outgrew the cache and ran 20-30 % slower than one
 # register at a time. The cap also bounds memory: a ``validate --grid fine``
@@ -364,42 +368,121 @@ def _measurements(cfg: ProtocolConfig) -> list[tuple[int, str]]:
     return [(ALICE_QUBIT, "computational")] + [(q, "hadamard") for q in cfg.collaborator_qubits]
 
 
-def _project_branches(mat: np.ndarray, measurements: Sequence, m: int) -> tuple[list, np.ndarray]:
+def _walk(mat: np.ndarray, measurements: Sequence, m: int) -> tuple[list, np.ndarray]:
     """Every outcome branch of the ``(qubit, basis)`` ``measurements``,
     breadth-first: the leaves' labels in ``itertools.product`` order, and
     their unmeasured blocks as a ``(batch, leaf, 2^(m-h), 2^(m-h))`` array
     for a ``(batch, 2^m, 2^m)`` stack ``mat`` and h measurements.
 
-    Each level projects every branch of every register in one call per
-    outcome and interleaves the kept slices outcome-minor. A measured qubit
-    leaves the matrix right after its projection: one diagonal slice on its
-    axis is kept. A computational outcome keeps its own slice (the other is
-    zero); a Hadamard outcome keeps slice 0, because its two diagonal
-    slices are equal bit for bit, so a leaf is ``2^-h`` times the partial
-    trace over the measured qubits, for h Hadamard outcomes, exactly.
+    Branches that agree on their first d outcomes share one projected
+    register: level d is one ``_kept_blocks`` call over the 2^d branches
+    of every register, which drops the measured qubit, so the walk is
+    O(4^m) in all, where a flat per-branch loop makes 2 + (h-1) 2^h
+    sandwiches of the whole register. Each kept entry is the one that loop
+    computes, so a leaf is ``2^-k`` times the partial trace over the
+    measured qubits, k of them in the Hadamard basis, bit for bit.
     """
     batch, labels = len(mat), [()]
     for i, (qubit, basis) in enumerate(measurements):
         qubit -= sum(q < qubit for q, _ in measurements[:i])  # its index in the rest
-        lo, hi = 2**qubit, 2 ** (m - qubit - 1)
         projectors = _BASIS_PROJECTORS[basis]
-        kept = np.empty((len(mat), len(projectors), lo * hi, lo * hi), dtype=mat.dtype)
-        projected = np.empty_like(mat)
-        for o, (label, proj) in enumerate(projectors):
-            bit = int(label == "1")
-            _apply_channel_matrix(mat, (proj,), qubit, m, out=projected)
-            blocks = projected.reshape(-1, lo, 2, hi, lo, 2, hi)
-            kept.reshape(-1, len(projectors), lo, hi, lo, hi)[:, o] = blocks[:, :, bit, :, :, bit, :]
-        mat, m = kept.reshape(-1, lo * hi, lo * hi), m - 1
+        mat, m = _kept_blocks(mat, qubit, m, projectors), m - 1
         labels = [prefix + (label,) for prefix in labels for label, _ in projectors]
     return labels, mat.reshape(batch, len(labels), *mat.shape[1:])
 
 
-def _encoded_density(secrets: Sequence[Secret], n: int) -> np.ndarray:
-    """Stack of ``|psi><psi|``, one per secret encoded on a fresh n-qubit
-    resource; each is the elementwise ``np.outer`` of its amplitudes."""
-    amps = _encoded_amplitudes(secrets, n)
-    return amps[:, :, None] * amps.conj()[:, None, :]
+def _kept_blocks(mat: np.ndarray, qubit: int, m: int, projectors: Sequence) -> np.ndarray:
+    """One level of the branch walk: for a ``(batch, 2^m, 2^m)`` stack
+    ``mat``, the block of ``P mat P^dag`` on ``qubit`` that each outcome's
+    projector ``P`` keeps, as a ``(batch * outcomes, 2^(m-1), 2^(m-1))``
+    stack, outcome-minor.
+
+    A computational outcome keeps its own diagonal block (the other is
+    zero); a Hadamard outcome keeps block (0, 0), because its two diagonal
+    blocks are equal bit for bit. Kept block (b, b) is ``sum_l conj(P_bl)
+    H_bl`` of the row half ``H_b = sum_k P_bk X_k``, each sum over the
+    nonzero entries with the diagonal one first, written straight into the
+    outcome's slot: the products and sums that ``_apply_channel_matrix``
+    gives that block, without the three blocks it drops.
+    """
+    lo, hi, dim = 2**qubit, 2 ** (m - qubit - 1), 2**m
+    kept = np.empty((len(mat), len(projectors), lo, hi, lo, hi), dtype=mat.dtype)
+    rows = mat.reshape(-1, lo, 2, hi, dim)
+    for o, (label, proj) in enumerate(projectors):
+        b = int(label == "1")
+        first, *rest = [k for k in (b, 1 - b) if proj[b, k] != 0]  # row b's nonzero entries
+        half = np.multiply(proj[b, first], rows[:, :, first])
+        for k in rest:
+            half += np.multiply(proj[b, k], rows[:, :, k])
+        cols, dst = half.reshape(-1, lo, hi, lo, 2, hi), kept[:, o]
+        np.multiply(proj[b, first].conj(), cols[..., first, :], out=dst)
+        for l in rest:
+            dst += np.multiply(proj[b, l].conj(), cols[..., l, :])
+    return kept.reshape(-1, lo * hi, lo * hi)
+
+
+@lru_cache(maxsize=64)
+def _support_plan(m: int, passes: tuple) -> tuple:
+    """Index arrays that run the pre-walk passes on the register's support.
+
+    ``passes`` holds each pass's ``(qubit, patterns)``: per group of
+    registers, the nonzero entries ``(E00, E01, E10, E11)`` of each of its
+    operators, which have at most one nonzero entry per row (weak
+    measurements, reversals, pdc and adc). The support starts at the 16
+    entries ``(x, y)`` of the four basis positions x the encoding fills,
+    ``|0 0...0>``, ``|0 1...1>``, ``|1 1 0...0>`` and ``|1 0 1...1>``, and
+    each pass moves it to every entry that some group's operators reach.
+
+    Returns the starting rows and columns; per pass the new support's size
+    and, per group and live operator ``o``, ``(o, src, c1, c2, tgt, n)``:
+    entry ``tgt`` gets ``conj(E[c2]) * (E[c1] * x[src])`` (``E`` flattened),
+    assigned for the first ``n`` (no earlier operator reached them) and
+    added for the rest; and the last support as flat positions.
+    """
+    dim, half, quarter = 2**m, 2 ** (m - 1), 2 ** (m - 2)
+    basis = np.array([0, half - 1, half + quarter, half + quarter - 1])
+    start = np.repeat(basis, 4), np.tile(basis, 4)
+    support, steps = start[0] * dim + start[1], []
+    for qubit, patterns in passes:
+        bit = 2 ** (m - qubit - 1)
+        row_bit, col_bit = support // dim // bit % 2, support // bit % 2
+        moves = []  # per group and live operator: (o, src, c1, c2, target positions)
+        for pattern in patterns:
+            moves.append([])
+            for o, nz in enumerate(pattern):
+                assert nz[:2].count(True) <= 1 and nz[2:].count(True) <= 1, nz
+                source = {i: k for i in (0, 1) for k in (0, 1) if nz[2 * i + k]}  # E_ik nonzero
+                pairs = [
+                    (np.flatnonzero((row_bit == k) & (col_bit == l)), 2 * i + k, 2 * j + l, (i - k) * dim + j - l)
+                    for i, k in source.items()
+                    for j, l in source.items()
+                ]
+                if pairs:
+                    src, c1, c2, step = zip(*pairs)
+                    src_all = np.concatenate(src)
+                    counts = [len(s) for s in src]
+                    moves[-1].append(
+                        (o, src_all, np.repeat(c1, counts), np.repeat(c2, counts),
+                         support[src_all] + np.repeat(step, counts) * bit)
+                    )
+        reached = np.zeros(dim * dim, dtype=bool)
+        for group in moves:
+            for move in group:
+                reached[move[4]] = True
+        new = np.flatnonzero(reached)
+        plans = []
+        for group in moves:
+            covered, plan = np.zeros(len(new), dtype=bool), []
+            for o, src, c1, c2, target in group:
+                tgt = np.searchsorted(new, target)
+                first = ~covered[tgt]
+                covered[tgt] = True
+                order = np.argsort(~first, kind="stable")  # the first to reach their entry lead
+                plan.append((o, src[order], c1[order], c2[order], tgt[order], int(first.sum())))
+            plans.append(plan)
+        steps.append((len(new), plans))
+        support = new
+    return start, steps, support
 
 
 def _layout(cfg: ProtocolConfig) -> tuple:
@@ -433,6 +516,67 @@ def _operator_passes(cfg: ProtocolConfig) -> list[tuple[int, object, tuple]]:
     return passes
 
 
+def _pre_walk(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]) -> np.ndarray:
+    """The ``(batch, 2^m, 2^m)`` stack of registers that the branch walk
+    starts from: each secret encoded on a fresh resource and put through
+    ``cfgs[i]``'s passes before the walk (``_operator_passes``).
+
+    The passes run on the support only, as a ``(batch, entries)`` array
+    laid out by ``_support_plan``, and the result is scattered once into a
+    zero stack. Each entry starts as ``|psi><psi|``'s elementwise product
+    and gets the products and the operator-order sum that
+    ``_apply_channel_matrix`` gives it, so it has that call's value (an
+    entry the support leaves out is zero either way; only the sign of an
+    exact zero may differ). Each distinct (channel, protection) pair's
+    operators are built once; a pass whose operators differ between
+    configs takes them per register, and registers whose operators have
+    their zeros in different places run in groups, one per zero pattern.
+    """
+    m = cfgs[0].num_qubits
+    keys = [(c.channel, c.wmrqm) for c in cfgs]
+    distinct = dict(zip(keys, cfgs))  # one config per (channel, protection) pair
+    order = {key: i for i, key in enumerate(distinct)}
+    which = [order[key] for key in keys]  # each register's distinct config
+    passes, groups = [], []
+    for per_config in zip(*map(_operator_passes, distinct.values())):
+        (q, key, operators), *others = per_config
+        # Each operator's entries (E00, E01, E10, E11): one row for all, or one per register
+        ops = [e.reshape(1, 4) for e in operators]
+        if any(k != key for _, k, _ in others):
+            ops = [np.stack(per).reshape(-1, 4)[which] for per in zip(*(o for _, _, o in per_config))]
+        flags = [e != 0 for e in ops]
+        if all(len(f) == 1 or (f == f[0]).all() for f in flags):
+            patterns, pass_groups = (tuple(tuple(f[0].tolist()) for f in flags),), [(None, ops)]
+        else:
+            by_pattern: dict[tuple, list] = {}
+            for r, pattern in enumerate(zip(*(f.tolist() for f in flags))):
+                by_pattern.setdefault(tuple(map(tuple, pattern)), []).append(r)
+            patterns = tuple(by_pattern)
+            pass_groups = [(idx, [e[idx] for e in ops]) for idx in by_pattern.values()]
+        passes.append((q, patterns))
+        groups.append(pass_groups)
+    (rows, cols), steps, support = _support_plan(m, tuple(passes))
+
+    amps = _encoded_amplitudes(secrets, m - 1)
+    vals = amps[:, rows] * amps[:, cols].conj()
+    for (size, plans), pass_groups in zip(steps, groups):
+        new = np.zeros((len(vals), size), dtype=vals.dtype)
+        for plan, (idx, ops) in zip(plans, pass_groups):
+            x, out = (vals, new) if idx is None else (vals[idx], np.zeros((len(idx), size), dtype=vals.dtype))
+            for o, src, c1, c2, tgt, n in plan:
+                e = ops[o]
+                prod = np.multiply(e[:, c2].conj(), np.multiply(e[:, c1], x[:, src]))
+                out[:, tgt[:n]] = prod[:, :n]
+                if n < len(tgt):
+                    out[:, tgt[n:]] += prod[:, n:]
+            if idx is not None:
+                new[idx] = out
+        vals = new
+    dense = np.zeros((len(vals), 4**m), dtype=vals.dtype)
+    dense[:, support] = vals
+    return dense.reshape(len(vals), 2**m, 2**m)
+
+
 def _execute_iteration(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]) -> list[IterationReport]:
     """Run one iteration on the freshly encoded register of each secret,
     the i-th under ``cfgs[i]``; the configs share one ``_layout``.
@@ -441,48 +585,18 @@ def _execute_iteration(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]
     probabilities, secret-major: all of the first secret's branches, then
     the second's, and so on.
 
-    The registers of all secrets form one stack, so each operator and
-    projection is one call over the stack. The passes before the walk (weak
-    measurement, channel, reversal on each transmitted qubit) overwrite the
-    freshly encoded stack in place: a diagonal operator is two contiguous
-    multiplies over it, adc's second Kraus operator a product over half the
-    register and one over the quarter it lands in (at 8 qubits on a 2-CPU
-    x86-64 AVX-512 machine, about 0.2 ms a diagonal pass and 0.35 ms an adc
-    pass). Each walk level projects into one buffer shared by its two
-    outcomes. Each distinct (channel, protection) pair's operators are
-    built once; a pass whose operators differ between configs gets them as
-    a ``(batch, 2, 2)`` stack, one per register. The tail is one call over
+    The registers of all secrets form one stack. ``_pre_walk`` runs the
+    passes before the walk on the registers' support, so they cost what the
+    support holds (at 8 qubits 16 to 333 of 65,536 entries), and ``_walk``
+    computes only the block each outcome keeps. The tail is one call over
     every leaf of every secret: the traces, then the normalisation,
     correction and fidelity of the live branches. Every register gets the
     arithmetic it would get alone; only the reports are built one by one,
     and each live one checks its state through the ``DensityMatrix``
     constructor.
-
-    ``_project_branches`` walks the measurements breadth-first, so branches
-    that agree on their first d outcomes share one projected register, and
-    drops each measured qubit once it is projected: for k helpers, level
-    d = 0..k is two sandwiches, each over the 2^d branches of every secret
-    as (k+2-d)-qubit matrices, so the walk is 2(k+1) calls and O(4^m) in
-    all, where the flat per-branch loop does 2 + k * 2^(k+1) sandwiches on
-    the full m = k+2 qubits. Each kept entry is the one that loop computes,
-    so the leaf times ``2^k`` is its partial trace onto the reconstructor,
-    bit for bit.
     """
     cfg = cfgs[0]
-    m = cfg.num_qubits
-    rho = _encoded_density(secrets, cfg.parties)
-
-    keys = [(c.channel, c.wmrqm) for c in cfgs]
-    distinct = dict(zip(keys, cfgs))  # one config per (channel, protection) pair
-    order = {key: i for i, key in enumerate(distinct)}
-    which = [order[key] for key in keys]  # each register's distinct config
-    for passes in zip(*map(_operator_passes, distinct.values())):
-        (q, key, operators), *others = passes
-        if any(k != key for _, k, _ in others):
-            operators = [np.stack(per_config)[which] for per_config in zip(*(ops for _, _, ops in passes))]
-        _apply_channel_matrix(rho, operators, q, m, out=rho)
-
-    labels, branches = _project_branches(rho, _measurements(cfg), m)
+    labels, branches = _walk(_pre_walk(cfgs, secrets), _measurements(cfg), cfg.num_qubits)
     leaves = [(int(lab[0]), lab[1:], _correction_key(int(lab[0]), lab[1:])) for lab in labels]
     # Every secret's every leaf at once, secret-major: (secret, leaf, 2, 2).
     bob = branches * 2.0 ** len(cfg.collaborator_qubits)

@@ -17,8 +17,11 @@ leaf stands for the reference's partial trace over equal slices) and
 computes each reset once per outcome label; otherwise it does the
 reference's floating-point operations, so every probability, fidelity,
 reconstructed matrix and carried weight must agree with ``==``, not merely
-within a tolerance. Both
-apply single-qubit operators through ``_apply_channel_matrix``.
+within a tolerance. The reference applies single-qubit operators through
+``_apply_channel_matrix``; the package's rounds do the same products on
+the register's support before the walk and on the kept blocks in it
+(``test_support_walk.py`` checks both against the dense calls), and only
+its resets call ``_apply_channel_matrix``.
 
 ``broadcast_sandwich`` is the earlier form of that primitive, two
 broadcast products and a sum per pass whatever the operator's zeros; the
@@ -450,7 +453,7 @@ LAYOUT_MISMATCHES = {
 def test_configs_of_another_layout_are_refused_before_simulating(name):
     base = ProtocolConfig(parties=2, secrets=(Secret(1.0, 0.0),), channel=NoiseSpec("adc", 0.25))
     cfgs = [base, LAYOUT_MISMATCHES[name], base]
-    with mock.patch.object(protocol, "_encoded_density", side_effect=AssertionError("simulated")):
+    with mock.patch.object(protocol, "_encoded_amplitudes", side_effect=AssertionError("simulated")):
         with pytest.raises(ValueError, match="register layout"):
             run_iterations(cfgs, [Secret.from_k(0.3)] * 3)
 
@@ -490,15 +493,30 @@ def test_run_iterations_matches_the_flat_reference_on_broadcast_sandwiches(parti
 
 
 @pytest.mark.parametrize("parties", range(2, 8))
-def test_walk_makes_two_projections_per_measurement(parties):
-    """Per round: one sandwich per operator stage and transmitted qubit, and
-    one per outcome and measurement level, over every branch at once."""
+def test_round_makes_no_dense_sandwich_and_walks_each_level_once(parties):
+    """A round runs its operator passes on the support and its walk on kept
+    blocks: no ``_apply_channel_matrix`` call, and one ``_kept_blocks``
+    call per measurement, each on a register one qubit smaller than the
+    last, over every branch at once. Recycling's resets are the only
+    sandwiches the module makes in a run: two projectors per returned
+    label (the return channel goes through ``apply_channel``)."""
     cfg = ProtocolConfig(
-        parties=parties, secrets=(Secret.from_k(0.3),), channel=NoiseSpec("adc", 0.4), wmrqm=Wmrqm(0.2, 0.5)
+        parties=parties,
+        secrets=(Secret.from_k(0.3), Secret.from_k(0.6)),
+        channel=NoiseSpec("adc", 0.4),
+        wmrqm=Wmrqm(0.2, 0.5),
+        return_channel=NoiseSpec("pdc", 0.3),
     )
-    with mock.patch.object(protocol, "_apply_channel_matrix", wraps=_apply_channel_matrix) as spy:
+    with mock.patch.object(protocol, "_apply_channel_matrix", wraps=_apply_channel_matrix) as sandwich, \
+            mock.patch.object(protocol, "_kept_blocks", wraps=protocol._kept_blocks) as level:
         run_iteration(cfg, cfg.secrets[0])
-    assert spy.call_count == 3 * parties + 2 * parties
+        assert sandwich.call_count == 0
+        assert [(len(c.args[0]), c.args[2]) for c in level.call_args_list] == [
+            (2**d, cfg.num_qubits - d) for d in range(parties)
+        ]
+        run_protocol(cfg)
+    assert sandwich.call_count == 2 * 2
+    assert level.call_count == 3 * parties
 
 
 def test_run_iterations_keeps_zero_probability_branches_per_secret():
@@ -523,8 +541,8 @@ def test_nan_branch_is_refused_not_dropped(monkeypatch):
     branch stays live and its state is refused, instead of being reported
     as a zero branch."""
     cfg = ProtocolConfig(parties=2, secrets=(Secret.from_k(0.5),))
-    encoded = protocol._encoded_density
-    monkeypatch.setattr(protocol, "_encoded_density", lambda secrets, n: encoded(secrets, n) * np.nan)
+    encoded = protocol._encoded_amplitudes
+    monkeypatch.setattr(protocol, "_encoded_amplitudes", lambda secrets, n: encoded(secrets, n) * np.nan)
     with pytest.raises(ValueError, match="must be finite"):
         run_iteration(cfg, cfg.secrets[0])
 
@@ -670,8 +688,9 @@ def test_run_iteration_matches_dense_embed(parties, monkeypatch):
         wmrqm=Wmrqm(0.3, 0.4),
     )
     new = run_iteration(cfg, cfg.secrets[0])
-    monkeypatch.setattr(protocol, "_apply_channel_matrix", dense_sandwich)
-    dense = run_iteration(cfg, cfg.secrets[0])
+    # The round itself makes no sandwich call: its dense form is the flat reference's
+    monkeypatch.setitem(globals(), "_apply_channel_matrix", dense_sandwich)
+    dense, _ = reference_execute(cfg, cfg.secrets[0], 0, 1.0)
     assert len(new) == len(dense) == 2**parties
     for r, d in zip(new, dense):
         assert (r.alice_outcome, r.collaborator_outcomes) == (d.alice_outcome, d.collaborator_outcomes)

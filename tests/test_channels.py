@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density, register_stack
+from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density
 from qss_sim.channels import (
     FORWARD_CLICK,
     FORWARD_NULL,
@@ -15,7 +15,7 @@ from qss_sim.channels import (
     validate_cptp,
     weak_op,
 )
-from qss_sim.linalg import ID2, KET_PLUS, PAULI_X, DensityMatrix
+from qss_sim.linalg import ID2, KET_PLUS, DensityMatrix
 from qss_sim.protocol import Secret, _reset_to_zero, encode_secret, make_resource
 
 
@@ -116,74 +116,6 @@ class TestApplyChannel:
         two_qubit = KrausChannel((np.eye(4),))
         with pytest.raises(ValueError, match="needs 2x2 Kraus operators"):
             apply_channel(random_density(rng, 2), two_qubit, 0)
-
-
-# Kraus sets of one kind, one per register of a stack. A half of an
-# operator (its diagonal or anti-diagonal) that is zero in some registers
-# and not in others is computed for the stack, and must leave those
-# registers' bytes as their own calls leave them.
-MIXED_KRAUS_SETS = {
-    # K1's anti-diagonal: zero at p = 0 only, where K1 is all zero
-    "adc p=0 next to p=0.5": [adc(0.0).operators, adc(0.5).operators],
-    "adc edges": [adc(x).operators for x in (0.0, 5e-324, 0.5, 1.0)],
-    "pdc edges": [pdc(x).operators for x in (1.0, 0.0, 0.37)],
-    "forward null": [(weak_op(FORWARD_NULL, x),) for x in (0.0, 0.3, 1.0)],
-    "reverse": [(weak_op(REVERSE, x),) for x in (1.0, 0.45, 0.0)],
-    # one register's diagonal is zero, the other's anti-diagonal
-    "X next to I": [(PAULI_X,), (ID2,)],
-    "X next to zero": [(PAULI_X,), (np.zeros((2, 2), dtype=complex),)],
-    "X, I and a full operator": [(PAULI_X,), (ID2,), (np.array([[0.6, 0.8j], [-0.8j, 0.6]]),)],
-    "projectors": [(PROJECTORS["computational"]["0"],), (PROJECTORS["computational"]["1"],)],
-    "hadamard projectors": [(PROJECTORS["hadamard"]["+"],), (PROJECTORS["hadamard"]["-"],)],
-}
-
-# The sets the simulator stacks, also checked on the largest register
-SIMULATOR_SETS = ["adc edges", "adc p=0 next to p=0.5", "forward null", "hadamard projectors", "pdc edges",
-                  "projectors", "reverse"]
-
-
-@pytest.mark.parametrize(
-    "name, m", [(name, m) for name in sorted(MIXED_KRAUS_SETS) for m in (1, 2, 3, 4)]
-    + [(name, 8) for name in SIMULATOR_SETS]
-)
-def test_per_register_operators_equal_per_register_calls(name, m):
-    """``(batch, 2, 2)`` operators, one per register, give every register the
-    bytes of its own call with its own 2x2 operators, at every qubit."""
-    kinds = MIXED_KRAUS_SETS[name]
-    per_register = [kinds[i % len(kinds)] for i in range(2 * len(kinds) + 1)]
-    stack = register_stack(m, np.random.default_rng(m), len(per_register))
-    operators = [np.stack(ops) for ops in zip(*per_register)]
-    for q in range(m):
-        stacked = _apply_channel_matrix(stack, operators, q, m)
-        for mat, ops, out in zip(stack, per_register, stacked):
-            assert out.tobytes() == _apply_channel_matrix(mat, ops, q, m).tobytes(), (name, q)
-
-
-def _all_operator_sets():
-    """Every operator set above: shared by a 3-register stack, and one per
-    register."""
-    for name, kinds in MIXED_KRAUS_SETS.items():
-        for ops in kinds:
-            yield name, ops
-        per_register = [kinds[i % len(kinds)] for i in range(3)]
-        yield name + " per register", [np.stack(ops) for ops in zip(*per_register)]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
-def test_in_place_and_out_of_place_calls_give_the_same_bits(m):
-    """``out=mat`` overwrites the input with the bytes a new array gets, and
-    an ``out`` full of other values is overwritten everywhere, the blocks no
-    product reaches included."""
-    stack = register_stack(m, np.random.default_rng(m), 3)
-    for name, ops in _all_operator_sets():
-        for q in range(m):
-            expected = _apply_channel_matrix(stack, ops, q, m)
-            in_place = stack.copy()
-            assert _apply_channel_matrix(in_place, ops, q, m, out=in_place) is in_place
-            assert in_place.tobytes() == expected.tobytes(), (name, q)
-            other = np.full_like(stack, complex(np.nan, -7.0))
-            _apply_channel_matrix(stack, ops, q, m, out=other)
-            assert other.tobytes() == expected.tobytes(), (name, q)
 
 
 def test_channel_and_reset_leave_their_input_alone(rng):

@@ -215,6 +215,21 @@ class TestRunCommand:
         with pytest.raises(ValueError, match=f"at most {MAX_ITERATIONS} iterations"):
             ProtocolConfig(parties=2, secrets=secrets)
 
+    @pytest.mark.parametrize("key", ["wmrqm_s", "wmrqm_r"])
+    @pytest.mark.parametrize("value", ["1.2", "-0.1"])
+    def test_measurement_strength_out_of_range_is_a_validation_error(self, tmp_path, capsys, key, value):
+        strengths = {"wmrqm_s": "0.3", "wmrqm_r": "0.4", key: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "parties = 2\nsecret_k = 0.5\n" + "".join(f"{k} = {v}\n" for k, v in strengths.items())
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid config: ")
+        assert f"measurement strength {key[-1]} must lie in [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_report_is_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
