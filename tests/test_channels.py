@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density
+from conftest import PROJECTORS, apply_channel_oracle, partial_trace_oracle, random_density, register_stack
 from qss_sim.channels import (
     FORWARD_CLICK,
     FORWARD_NULL,
@@ -15,7 +15,7 @@ from qss_sim.channels import (
     validate_cptp,
     weak_op,
 )
-from qss_sim.linalg import ID2, KET_PLUS, DensityMatrix
+from qss_sim.linalg import ID2, KET_PLUS, PAULI_X, DensityMatrix
 from qss_sim.protocol import Secret, _reset_to_zero, encode_secret, make_resource
 
 
@@ -116,6 +116,75 @@ class TestApplyChannel:
         two_qubit = KrausChannel((np.eye(4),))
         with pytest.raises(ValueError, match="needs 2x2 Kraus operators"):
             apply_channel(random_density(rng, 2), two_qubit, 0)
+
+
+# Kraus sets of one kind whose zero entries lie in different places, or
+# vanish only at an edge strength. Each set is shared by every register of
+# a stack, and must leave each register the bytes of its own call.
+EDGE_KRAUS_SETS = {
+    # K1's anti-diagonal: zero at p = 0 only, where K1 is all zero
+    "adc p=0 next to p=0.5": [adc(0.0).operators, adc(0.5).operators],
+    "adc edges": [adc(x).operators for x in (0.0, 5e-324, 0.5, 1.0)],
+    "pdc edges": [pdc(x).operators for x in (1.0, 0.0, 0.37)],
+    "forward null": [(weak_op(FORWARD_NULL, x),) for x in (0.0, 0.3, 1.0)],
+    "reverse": [(weak_op(REVERSE, x),) for x in (1.0, 0.45, 0.0)],
+    # a zero diagonal, a zero anti-diagonal, or no zero at all
+    "X next to I": [(PAULI_X,), (ID2,)],
+    "X next to zero": [(PAULI_X,), (np.zeros((2, 2), dtype=complex),)],
+    "X, I and a full operator": [(PAULI_X,), (ID2,), (np.array([[0.6, 0.8j], [-0.8j, 0.6]]),)],
+    "projectors": [(PROJECTORS["computational"]["0"],), (PROJECTORS["computational"]["1"],)],
+    "hadamard projectors": [(PROJECTORS["hadamard"]["+"],), (PROJECTORS["hadamard"]["-"],)],
+}
+
+# The sets the simulator applies, also checked on the largest register
+SIMULATOR_SETS = ["adc edges", "adc p=0 next to p=0.5", "forward null", "hadamard projectors", "pdc edges",
+                  "projectors", "reverse"]
+
+
+@pytest.mark.parametrize(
+    "name, m", [(name, m) for name in sorted(EDGE_KRAUS_SETS) for m in (1, 2, 3, 4)]
+    + [(name, 8) for name in SIMULATOR_SETS]
+)
+def test_stacked_registers_equal_per_register_calls(name, m):
+    """2x2 operators shared by a ``(batch, 2^m, 2^m)`` stack, or by one with
+    a further leading axis, give every register the bytes of its own call,
+    at every qubit."""
+    stack = register_stack(m, np.random.default_rng(m))
+    for ops in EDGE_KRAUS_SETS[name]:
+        for q in range(m):
+            stacked = _apply_channel_matrix(stack, ops, q, m)
+            for mat, out in zip(stack, stacked):
+                assert out.tobytes() == _apply_channel_matrix(mat, ops, q, m).tobytes(), (name, q)
+            nested = _apply_channel_matrix(stack[:, None], ops, q, m)
+            assert nested.shape == (len(stack), 1, 2**m, 2**m)
+            assert nested.tobytes() == stacked.tobytes(), (name, q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_every_block_is_written_and_the_input_left_alone(m, monkeypatch):
+    """A call reads its input without writing it (a write would raise) and
+    returns a new array in which it writes every entry: a block that no
+    product reaches is ``+0`` however the new array's memory starts, so a
+    result whose memory starts full of other values has the same bytes."""
+    stack = register_stack(m, np.random.default_rng(m))
+    stack.flags.writeable = False
+    before = stack.tobytes()
+    sets = [(name, ops) for name, kinds in EDGE_KRAUS_SETS.items() for ops in kinds]
+    expected = {
+        (name, i, q): _apply_channel_matrix(stack, ops, q, m)
+        for i, (name, ops) in enumerate(sets)
+        for q in range(m)
+    }
+    assert stack.tobytes() == before
+    empty_like = np.empty_like
+    monkeypatch.setattr(np, "empty_like", lambda a, *args, **kw: np.full_like(
+        empty_like(a, *args, **kw), complex(np.nan, -7.0)))
+    for i, (name, ops) in enumerate(sets):
+        for q in range(m):
+            out = _apply_channel_matrix(stack, ops, q, m)
+            assert not np.shares_memory(out, stack)
+            assert out.tobytes() == expected[name, i, q].tobytes(), (name, q)
+    assert stack.tobytes() == before
 
 
 def test_channel_and_reset_leave_their_input_alone(rng):
