@@ -116,23 +116,17 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
     """``sum_i E_i mat E_i^dag`` for 2x2 operators ``E_i`` on one qubit, as a
     new array.
 
-    ``apply_channel`` and recycling's resets call it; a protocol round runs
-    its passes on the register's support and its branch walk on kept blocks
-    (``qss_sim.protocol``), with the same products. It works
-    on the qubit's four (row bit, column bit) blocks ``X_kl`` at O(4^m),
-    not O(8^m), and a product whose coefficient is zero is left out: block
-    ``(i, j)`` of ``E X E^dag`` is ``sum_l conj(E_jl) H_il`` over the
-    nonzero ``E_jl``, diagonal entry first, of ``H_il = sum_k E_ik X_kl``
-    over the nonzero ``E_ik``, likewise; the terms are added in operator
-    order, and a block no product reaches is ``0``. A diagonal ``E`` with
-    both entries nonzero is two contiguous multiplies over the register, by
-    a coefficient per row and then one per column; with all four entries
-    nonzero a product with the other bit's rows (columns) is added to each.
-    Any other ``E`` costs a product per row half it writes and one per
-    block it reaches: adc's ``sqrt(p)|0><1|`` and a computational projector
-    each reach one quarter of the register. Against the sum over every
-    entry only an intermediate zero's sign can differ. For real ``E`` this
-    rounds as a dense ``embed(E) @ mat @ embed(E)^dag`` does without fused
+    Recycling's resets and ``apply_channel`` call it, and the tests' flat
+    references; a protocol round runs its passes on the register's support
+    and its branch walk on kept blocks (``qss_sim.protocol``), with the same
+    products. It works on the qubit's four (row bit, column bit) blocks
+    ``X_kl`` at O(4^m), not O(8^m), and a product whose coefficient is zero
+    is left out: block ``(i, j)`` of ``E X E^dag`` is ``_half(conj E, j,
+    H_i)`` of the row half ``H_i = _half(E, i, X)``. Each block is the first
+    term that reaches it plus the later ones, in operator order, and a
+    block no term reaches is ``0``. Against the sum over every entry only
+    an intermediate zero's sign can differ. For real ``E`` this rounds as a
+    dense ``embed(E) @ mat @ embed(E)^dag`` does without fused
     multiply-add.
 
     ``mat`` may also be a ``(..., 2^m, 2^m)`` stack of registers: every
@@ -140,73 +134,37 @@ def _apply_channel_matrix(mat: np.ndarray, operators: Sequence, qubit: int, m: i
     bytes it would have on its own.
     """
     lo, hi = 2**qubit, 2 ** (m - qubit - 1)
-    flags = [tuple((e.reshape(4) != 0).tolist()) for e in operators]  # nonzero E00, E01, E10, E11
-    live = [(e, nz) for e, nz in zip(operators, flags) if any(nz)]
+    x = mat.reshape(-1, 2, hi, lo, 2, hi)  # axes 1 and 4: the qubit's row and column bit
     out = np.empty_like(mat)
-    written = set(_term(mat, *live[0], qubit, m, out) if live else ())
-    acc = out.reshape(-1, 2, hi, lo, 2, hi)  # axes 1 and 4: the qubit's row and column bit
-    for e, nz in live[1:]:
-        for (i, j), block in _term(mat, e, nz, qubit, m).items():
-            dst = acc[:, i, :, :, j]
-            if (i, j) in written:
-                dst += block
-            else:
-                dst[...] = block
-                written.add((i, j))
-    for i, j in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
-        acc[:, i, :, :, j] = 0
+    blocks, reached = out.reshape(x.shape), set()
+    for e in operators:
+        for i in (0, 1):
+            h = _half(e, i, (x[:, 0], x[:, 1]))
+            if h is None:
+                continue
+            for j in (0, 1):
+                dst, cols = blocks[:, i, :, :, j], (h[..., 0, :], h[..., 1, :])
+                if (i, j) not in reached:
+                    if _half(e.conj(), j, cols, out=dst) is not None:
+                        reached.add((i, j))
+                elif (term := _half(e.conj(), j, cols)) is not None:
+                    dst += term
+    for i, j in {(0, 0), (0, 1), (1, 0), (1, 1)} - reached:
+        blocks[:, i, :, :, j] = 0
     return out
 
 
-_DIAGONAL, _FULL = (True, False, False, True), (True,) * 4
-
-
-def _term(mat: np.ndarray, e: np.ndarray, nz: tuple, qubit: int, m: int, out: np.ndarray | None = None) -> dict:
-    """The blocks ``{(i, j): block}`` of ``E mat E^dag`` that one 2x2
-    operator ``e`` with nonzero entries ``nz`` reaches: new arrays, or views
-    of ``out``. A term with every entry nonzero, or just the diagonal ones,
-    covers the register; its diagonal column product runs along whole rows,
-    a coefficient per column, not along runs of ``2^(m-qubit-1)``
-    columns."""
-    lo, hi, dim = 2**qubit, 2 ** (m - qubit - 1), 2**m
-    if nz in (_DIAGONAL, _FULL):
-        out = np.empty_like(mat) if out is None else out
-        d = e.diagonal()[:, None]  # E_ii for row bit i
-        rows, half = mat.reshape(-1, 2, hi * dim), out.reshape(-1, 2, hi * dim)
-        if nz == _FULL:
-            a = e[:, ::-1].diagonal()[:, None]  # E_i,1-i
-            part = np.multiply(a, rows[:, ::-1])
-        np.multiply(d, rows, out=half)
-        if nz == _FULL:
-            half += part
-            flipped = out.reshape(-1, 2, hi)[:, ::-1]
-            np.multiply(a.conj(), flipped, out=part.reshape(flipped.shape))
-        cols, along_row = out.reshape(-1, dim), np.empty((lo, 2, hi), dtype=e.dtype)
-        along_row[...] = d.conj()
-        np.multiply(along_row.reshape(dim), cols, out=cols)
-        if nz == _FULL:
-            cols += part.reshape(cols.shape)
-        blocks = out.reshape(-1, 2, hi, lo, 2, hi)
-        return {(i, j): blocks[:, i, :, :, j] for i in (0, 1) for j in (0, 1)}
-    x = mat.reshape(-1, 2, hi, lo, 2, hi)
-    # Per row bit i, each k with E_ik nonzero, the diagonal entry first
-    sources = [[k for k in (i, 1 - i) if nz[2 * i + k]] for i in (0, 1)]
-    live = [i for i in (0, 1) if sources[i]]
-    halves = {}  # H_i = sum_k E_ik X_k
-    for i in live:
-        (k, *other) = sources[i]
-        halves[i] = np.multiply(e[i, k], x[:, k])
-        for k in other:
-            halves[i] += np.multiply(e[i, k], x[:, k])
-    acc, terms = None if out is None else out.reshape(x.shape), {}
-    for i in live:
-        for j in live:
-            (l, *other) = sources[j]
-            dst = None if acc is None else acc[:, i, :, :, j]
-            terms[i, j] = np.multiply(e[j, l].conj(), halves[i][:, :, :, l], out=dst)
-            for l in other:
-                terms[i, j] += np.multiply(e[j, l].conj(), halves[i][:, :, :, l])
-    return terms
+def _half(e: np.ndarray, i: int, parts: Sequence, out: np.ndarray | None = None) -> np.ndarray | None:
+    """``sum_k e[i, k] parts[k]`` over the nonzero ``e[i, k]`` of a 2x2
+    ``e``, the diagonal entry first, written into ``out`` if one is given;
+    ``None`` if row ``i`` is zero."""
+    ks = [k for k in (i, 1 - i) if e[i, k] != 0]
+    if not ks:
+        return None
+    acc = np.multiply(e[i, ks[0]], parts[ks[0]], out=out)
+    for k in ks[1:]:
+        acc += np.multiply(e[i, k], parts[k])
+    return acc
 
 
 def weak_op(kind: str, strength: float) -> np.ndarray:

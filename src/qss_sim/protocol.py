@@ -44,6 +44,7 @@ from .channels import (
     REVERSE,
     KrausChannel,
     _apply_channel_matrix,
+    _half,
     adc,
     apply_channel,
     pdc,
@@ -399,10 +400,9 @@ def _kept_blocks(mat: np.ndarray, qubit: int, m: int, projectors: Sequence) -> n
 
     A computational outcome keeps its own diagonal block (the other is
     zero); a Hadamard outcome keeps block (0, 0), because its two diagonal
-    blocks are equal bit for bit. Kept block (b, b) is ``sum_l conj(P_bl)
-    H_bl`` of the row half ``H_b = sum_k P_bk X_k``, each sum over the
-    nonzero entries with the diagonal one first, written straight into the
-    outcome's slot: the products and sums that ``_apply_channel_matrix``
+    blocks are equal bit for bit. Kept block (b, b) is ``_half(conj P, b,
+    H_b)`` of the row half ``H_b = _half(P, b, X)``, written straight into
+    the outcome's slot: the products and sums that ``_apply_channel_matrix``
     gives that block, without the three blocks it drops.
     """
     lo, hi, dim = 2**qubit, 2 ** (m - qubit - 1), 2**m
@@ -410,14 +410,8 @@ def _kept_blocks(mat: np.ndarray, qubit: int, m: int, projectors: Sequence) -> n
     rows = mat.reshape(-1, lo, 2, hi, dim)
     for o, (label, proj) in enumerate(projectors):
         b = int(label == "1")
-        first, *rest = [k for k in (b, 1 - b) if proj[b, k] != 0]  # row b's nonzero entries
-        half = np.multiply(proj[b, first], rows[:, :, first])
-        for k in rest:
-            half += np.multiply(proj[b, k], rows[:, :, k])
-        cols, dst = half.reshape(-1, lo, hi, lo, 2, hi), kept[:, o]
-        np.multiply(proj[b, first].conj(), cols[..., first, :], out=dst)
-        for l in rest:
-            dst += np.multiply(proj[b, l].conj(), cols[..., l, :])
+        half = _half(proj, b, (rows[:, :, 0], rows[:, :, 1])).reshape(-1, lo, hi, lo, 2, hi)
+        _half(proj.conj(), b, (half[..., 0, :], half[..., 1, :]), out=kept[:, o])
     return kept.reshape(-1, lo * hi, lo * hi)
 
 

@@ -19,13 +19,16 @@ reference's floating-point operations, so every probability, fidelity,
 reconstructed matrix and carried weight must agree with ``==``, not merely
 within a tolerance. The reference applies single-qubit operators through
 ``_apply_channel_matrix``; the package's rounds do the same products on
-the register's support before the walk and on the kept blocks in it
-(``test_support_walk.py`` checks both against the dense calls), and only
-its resets call ``_apply_channel_matrix``.
+the register's support before the walk, and on the kept blocks in it
+with the row and column sums (``channels._half``) that
+``_apply_channel_matrix`` builds every block from
+(``test_support_walk.py`` checks both against the dense calls). In a run
+only recycling's resets and the return channel call
+``_apply_channel_matrix``, each on one qubit.
 
 ``broadcast_sandwich`` is the earlier form of that primitive, two
-broadcast products and a sum per pass whatever the operator's zeros; the
-package leaves out every product whose coefficient is zero, and with the
+broadcast products and a sum per pass whatever the operator's zeros;
+``_half`` leaves out every product whose coefficient is zero, and with the
 reference run on ``broadcast_sandwich`` every report still agrees bit for
 bit.
 
@@ -468,11 +471,11 @@ def test_one_config_per_secret():
 @settings(max_examples=6, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_run_iterations_matches_the_flat_reference_on_broadcast_sandwiches(parties, data):
-    """The breadth-first walk and the half-skipping sandwich against the flat
-    per-branch reference on the earlier two-product arithmetic: no signed
-    zero that skipping a zero half can leave reaches a report. With the
-    package's walk on ``broadcast_sandwich`` too, so a walk fault shows
-    apart from a sandwich one."""
+    """The package's rounds against the flat per-branch reference on the
+    earlier two-product arithmetic: no signed zero that skipping a zero
+    half can leave reaches a report. ``test_support_walk.py`` checks the
+    support passes and the walk against ``_apply_channel_matrix`` on their
+    own."""
     channel = data.draw(st.none() | edge_noise | st.tuples(*[st.none() | edge_noise] * parties))
     wmrqm = data.draw(st.none() | st.builds(Wmrqm, edge | unit, edge | unit))
     batch = [
@@ -484,12 +487,10 @@ def test_run_iterations_matches_the_flat_reference_on_broadcast_sandwiches(parti
     cfg = ProtocolConfig(parties=parties, secrets=batch[:1], channel=channel, wmrqm=wmrqm)
     with mock.patch.dict(globals(), _apply_channel_matrix=broadcast_sandwich):
         ref = [reference_execute(cfg, secret, 0, 1.0)[0] for secret in batch]
-    with mock.patch.object(protocol, "_apply_channel_matrix", broadcast_sandwich):
-        walk_only = run_iterations(cfg, batch)
-    for new in (run_iterations(cfg, batch), walk_only):
-        assert len(new) == len(ref)
-        for reports, expected in zip(new, ref):
-            assert_bits_equal(reports, expected)
+    new = run_iterations(cfg, batch)
+    assert len(new) == len(ref)
+    for reports, expected in zip(new, ref):
+        assert_bits_equal(reports, expected)
 
 
 @pytest.mark.parametrize("parties", range(2, 8))
@@ -644,15 +645,12 @@ def test_round_k_equals_round_one_on_the_same_secret(parties, protected):
                 assert np.array_equal(r.reconstructed_state.matrix, s.reconstructed_state.matrix)
 
 
-def dense_sandwich(mat, operators, qubit, m, out=None):
+def dense_sandwich(mat, operators, qubit, m):
     result = np.zeros_like(mat)
     for op in operators:
         e = embed(op, [qubit], m)
         result += e @ mat @ dagger(e)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    return result
 
 
 DENSE_TOL = 1e-12
@@ -699,10 +697,10 @@ def test_run_iteration_matches_dense_embed(parties, monkeypatch):
         assert np.max(np.abs(r.reconstructed_state.matrix - d.reconstructed_state.matrix)) <= DENSE_TOL
 
 
-def broadcast_sandwich(mat, operators, qubit, m, out=None):
+def broadcast_sandwich(mat, operators, qubit, m):
     """``sum_i E_i mat E_i^dag`` as two broadcast products and a sum per
     pass, ``dst[:, i] = E[i, 0] src[:, 0] + E[i, 1] src[:, 1]``, zero
-    entries included; the result is copied into ``out`` if one is given."""
+    entries included."""
     rows = mat.reshape(-1, 2, 2 ** (m - qubit - 1) * 2**m)
     half, part, result = np.empty_like(rows), np.empty_like(mat), np.empty_like(mat)
     cols = half.reshape(-1, 2, 2 ** (m - qubit - 1))
@@ -713,10 +711,7 @@ def broadcast_sandwich(mat, operators, qubit, m, out=None):
             dst += np.multiply(op[:, 1:], src[:, 1:], out=part.reshape(dst.shape))
         if n:
             result += term.reshape(result.shape)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    return result
 
 
 EDGE_STRENGTHS = (0.0, 5e-324, 0.5, 0.99609375, 1.0)
