@@ -419,62 +419,48 @@ def _kept_blocks(mat: np.ndarray, qubit: int, m: int, projectors: Sequence) -> n
 def _support_plan(m: int, passes: tuple) -> tuple:
     """Index arrays that run the pre-walk passes on the register's support.
 
-    ``passes`` holds each pass's ``(qubit, patterns)``: per group of
-    registers, the nonzero entries ``(E00, E01, E10, E11)`` of each of its
-    operators, which have at most one nonzero entry per row (weak
-    measurements, reversals, pdc and adc). The support starts at the 16
-    entries ``(x, y)`` of the four basis positions x the encoding fills,
-    ``|0 0...0>``, ``|0 1...1>``, ``|1 1 0...0>`` and ``|1 0 1...1>``, and
-    each pass moves it to every entry that some group's operators reach.
+    ``passes`` holds each pass's ``(qubit, pattern)``: the entries
+    ``(E00, E01, E10, E11)`` of each of its operators that are nonzero for
+    some register of the call. Each operator has at most one such entry per
+    row (weak measurements, reversals, pdc and adc). The support starts at
+    the 16 entries ``(x, y)`` of the four basis positions x the encoding
+    fills, ``|0 0...0>``, ``|0 1...1>``, ``|1 1 0...0>`` and ``|1 0 1...1>``,
+    and each pass moves it to every entry that its operators reach.
 
     Returns the starting rows and columns; per pass the new support's size
-    and, per group and live operator ``o``, ``(o, src, c1, c2, tgt, n)``:
-    entry ``tgt`` gets ``conj(E[c2]) * (E[c1] * x[src])`` (``E`` flattened),
-    assigned for the first ``n`` (no earlier operator reached them) and
-    added for the rest; and the last support as flat positions.
+    and, per live operator ``o``, ``(o, src, c1, c2, tgt)``: entry ``tgt``
+    gets ``conj(E[c2]) * (E[c1] * x[src])`` (``E`` flattened) added, and no
+    ``tgt`` repeats within one operator; and the last support as flat
+    positions.
     """
     dim, half, quarter = 2**m, 2 ** (m - 1), 2 ** (m - 2)
     basis = np.array([0, half - 1, half + quarter, half + quarter - 1])
     start = np.repeat(basis, 4), np.tile(basis, 4)
     support, steps = start[0] * dim + start[1], []
-    for qubit, patterns in passes:
+    for qubit, pattern in passes:
         bit = 2 ** (m - qubit - 1)
         row_bit, col_bit = support // dim // bit % 2, support // bit % 2
-        moves = []  # per group and live operator: (o, src, c1, c2, target positions)
-        for pattern in patterns:
-            moves.append([])
-            for o, nz in enumerate(pattern):
-                assert nz[:2].count(True) <= 1 and nz[2:].count(True) <= 1, nz
-                source = {i: k for i in (0, 1) for k in (0, 1) if nz[2 * i + k]}  # E_ik nonzero
-                pairs = [
-                    (np.flatnonzero((row_bit == k) & (col_bit == l)), 2 * i + k, 2 * j + l, (i - k) * dim + j - l)
-                    for i, k in source.items()
-                    for j, l in source.items()
-                ]
-                if pairs:
-                    src, c1, c2, step = zip(*pairs)
-                    src_all = np.concatenate(src)
-                    counts = [len(s) for s in src]
-                    moves[-1].append(
-                        (o, src_all, np.repeat(c1, counts), np.repeat(c2, counts),
-                         support[src_all] + np.repeat(step, counts) * bit)
-                    )
-        reached = np.zeros(dim * dim, dtype=bool)
-        for group in moves:
-            for move in group:
-                reached[move[4]] = True
+        moves = []  # per live operator: (o, src, c1, c2, target positions)
+        for o, nz in enumerate(pattern):
+            # One live entry per row keeps an operator's targets distinct, so ``+=`` drops no term.
+            assert nz[:2].count(True) <= 1 and nz[2:].count(True) <= 1, nz
+            source = {i: k for i in (0, 1) for k in (0, 1) if nz[2 * i + k]}  # E_ik nonzero
+            pairs = [
+                (np.flatnonzero((row_bit == k) & (col_bit == l)), 2 * i + k, 2 * j + l, (i - k) * dim + j - l)
+                for i, k in source.items()
+                for j, l in source.items()
+            ]
+            if pairs:
+                src, c1, c2, step = zip(*pairs)
+                src_all = np.concatenate(src)
+                counts = [len(s) for s in src]
+                moves.append(
+                    (o, src_all, np.repeat(c1, counts), np.repeat(c2, counts),
+                     support[src_all] + np.repeat(step, counts) * bit)
+                )
+        reached = np.bincount(np.concatenate([target for *_, target in moves]), minlength=dim * dim)
         new = np.flatnonzero(reached)
-        plans = []
-        for group in moves:
-            covered, plan = np.zeros(len(new), dtype=bool), []
-            for o, src, c1, c2, target in group:
-                tgt = np.searchsorted(new, target)
-                first = ~covered[tgt]
-                covered[tgt] = True
-                order = np.argsort(~first, kind="stable")  # the first to reach their entry lead
-                plan.append((o, src[order], c1[order], c2[order], tgt[order], int(first.sum())))
-            plans.append(plan)
-        steps.append((len(new), plans))
+        steps.append((len(new), [(*move[:4], np.searchsorted(new, move[4])) for move in moves]))
         support = new
     return start, steps, support
 
@@ -523,48 +509,32 @@ def _pre_walk(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]) -> np.n
     entry the support leaves out is zero either way; only the sign of an
     exact zero may differ). Each distinct (channel, protection) pair's
     operators are built once; a pass whose operators differ between
-    configs takes them per register, and registers whose operators have
-    their zeros in different places run in groups, one per zero pattern.
+    configs takes them per register. One plan serves every register of
+    the call: an operator entry is live if it is nonzero for any register,
+    and a register whose entry is zero adds exact zeros.
     """
     m = cfgs[0].num_qubits
     keys = [(c.channel, c.wmrqm) for c in cfgs]
     distinct = dict(zip(keys, cfgs))  # one config per (channel, protection) pair
     order = {key: i for i, key in enumerate(distinct)}
     which = [order[key] for key in keys]  # each register's distinct config
-    passes, groups = [], []
+    passes, pass_ops = [], []
     for per_config in zip(*map(_operator_passes, distinct.values())):
         (q, key, operators), *others = per_config
         # Each operator's entries (E00, E01, E10, E11): one row for all, or one per register
         ops = [e.reshape(1, 4) for e in operators]
         if any(k != key for _, k, _ in others):
             ops = [np.stack(per).reshape(-1, 4)[which] for per in zip(*(o for _, _, o in per_config))]
-        flags = [e != 0 for e in ops]
-        if all(len(f) == 1 or (f == f[0]).all() for f in flags):
-            patterns, pass_groups = (tuple(tuple(f[0].tolist()) for f in flags),), [(None, ops)]
-        else:
-            by_pattern: dict[tuple, list] = {}
-            for r, pattern in enumerate(zip(*(f.tolist() for f in flags))):
-                by_pattern.setdefault(tuple(map(tuple, pattern)), []).append(r)
-            patterns = tuple(by_pattern)
-            pass_groups = [(idx, [e[idx] for e in ops]) for idx in by_pattern.values()]
-        passes.append((q, patterns))
-        groups.append(pass_groups)
+        passes.append((q, tuple(tuple((e != 0).any(axis=0).tolist()) for e in ops)))
+        pass_ops.append(ops)
     (rows, cols), steps, support = _support_plan(m, tuple(passes))
 
     amps = _encoded_amplitudes(secrets, m - 1)
     vals = amps[:, rows] * amps[:, cols].conj()
-    for (size, plans), pass_groups in zip(steps, groups):
+    for (size, plan), ops in zip(steps, pass_ops):
         new = np.zeros((len(vals), size), dtype=vals.dtype)
-        for plan, (idx, ops) in zip(plans, pass_groups):
-            x, out = (vals, new) if idx is None else (vals[idx], np.zeros((len(idx), size), dtype=vals.dtype))
-            for o, src, c1, c2, tgt, n in plan:
-                e = ops[o]
-                prod = np.multiply(e[:, c2].conj(), np.multiply(e[:, c1], x[:, src]))
-                out[:, tgt[:n]] = prod[:, :n]
-                if n < len(tgt):
-                    out[:, tgt[n:]] += prod[:, n:]
-            if idx is not None:
-                new[idx] = out
+        for o, src, c1, c2, tgt in plan:
+            new[:, tgt] += ops[o][:, c2].conj() * (ops[o][:, c1] * vals[:, src])
         vals = new
     dense = np.zeros((len(vals), 4**m), dtype=vals.dtype)
     dense[:, support] = vals
@@ -585,9 +555,11 @@ def _execute_iteration(cfgs: Sequence[ProtocolConfig], secrets: Sequence[Secret]
     computes only the block each outcome keeps. The tail is one call over
     every leaf of every secret: the traces, then the normalisation,
     correction and fidelity of the live branches. Every register gets the
-    arithmetic it would get alone; only the reports are built one by one,
-    and each live one checks its state through the ``DensityMatrix``
-    constructor.
+    values it would get alone: the pre-walk's one plan per call may add
+    exact zeros where another register's operator entry is nonzero, which
+    can move only the sign of a zero inside the register. Only the reports
+    are built one by one, and each live one checks its state through the
+    ``DensityMatrix`` constructor.
     """
     cfg = cfgs[0]
     labels, branches = _walk(_pre_walk(cfgs, secrets), _measurements(cfg), cfg.num_qubits)

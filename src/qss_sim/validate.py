@@ -37,6 +37,7 @@ patch does not reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -129,13 +130,14 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 def _worst(name: str, tol: float, residuals: Iterable[tuple[str, float]]) -> CheckResult:
     """Reduce ``(point label, residual)`` pairs to the suite's result.
 
-    The first point with the largest residual is the worst point; a
-    ``nan`` residual never becomes the worst.
+    The first point with the largest residual is the worst point. A
+    ``nan`` residual is worse than any number: the first one is the worst
+    point, and the suite fails.
     """
     worst, worst_at, count = 0.0, "", 0
     for at, res in residuals:
         count += 1
-        if res > worst:
+        if not math.isnan(worst) and not res <= worst:
             worst, worst_at = res, at
     return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
 

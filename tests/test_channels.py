@@ -9,6 +9,7 @@ from qss_sim.channels import (
     REVERSE,
     KrausChannel,
     _apply_channel_matrix,
+    _half,
     adc,
     apply_channel,
     pdc,
@@ -201,6 +202,26 @@ def test_channel_and_reset_leave_their_input_alone(rng):
     before = qubit.matrix.tobytes()
     _reset_to_zero(qubit)
     assert not qubit.matrix.flags.writeable and qubit.matrix.tobytes() == before
+
+
+def test_a_zero_coefficient_multiplies_nothing():
+    """``_half`` leaves out the product of a zero coefficient, so ``inf`` or
+    ``nan`` in the part it would multiply never reaches the result (``0 *
+    inf`` is ``nan``). A sandwich by ``diag(1, 0)`` therefore reads only
+    row 0 of the state, and only entry (0, 0) of its row half."""
+    bad = np.array([np.inf, np.nan, complex(np.inf, np.nan)])
+    good = np.array([1.0, -2.5j, 3.0 + 4.0j])
+    for e, i, parts, expected in [
+        (np.array([[2.0, 0.0], [0.0, 0.0]]), 0, (good, bad), 2.0 * good),  # zero off-diagonal
+        (np.array([[0.0, 0.0], [0.5j, 0.0]]), 1, (good, bad), 0.5j * good),  # zero diagonal
+        (np.array([[0.0, 0.0], [0.0, 1.0]]), 0, (good, bad), None),  # zero row
+    ]:
+        out = _half(e, i, parts)
+        assert out is None if expected is None else out.tobytes() == expected.tobytes()
+    mat = np.array([[0.25 - 0.5j, 7.0 + 1.0j], [np.nan, complex(np.inf, np.nan)]])
+    out = _apply_channel_matrix(mat, (np.diag([1.0, 0.0]).astype(complex),), 0, 1)
+    assert np.isfinite(out).all()
+    assert out.tobytes() == np.array([[0.25 - 0.5j, 0.0], [0.0, 0.0]]).tobytes()
 
 
 class TestWeakOps:

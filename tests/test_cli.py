@@ -700,3 +700,17 @@ class TestValidateCommand:
         )
         # the k-average of the shifted form fails with it
         assert captured.err.strip() == "2 suite(s) failed"
+
+    def test_nan_residual_fails_its_suite_at_its_first_point(self, monkeypatch, capsys):
+        from qss_sim import validate as v
+
+        monkeypatch.setattr(v, "f_pd", lambda k, q: float("nan"))
+        result = v.run_all("coarse")[0]
+        assert result.name == "f_pd vs simulator (all branches)"
+        assert np.isnan(result.max_residual) and not result.passed
+        assert result.worst_point == "k=0, strength=0, branch=(0, '+')"
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("f_pd vs simulator"))
+        assert lines[row].endswith("nan      1e-12  FAIL")
+        assert lines[row + 1] == "    worst point: k=0, strength=0, branch=(0, '+')"

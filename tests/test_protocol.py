@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import PROJECTORS, partial_trace_oracle, random_secret, withheld_oracle
+from qss_sim import protocol
 from qss_sim.channels import _apply_channel_matrix
 from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z, embed
 from qss_sim.protocol import (
@@ -321,6 +322,17 @@ class TestRunIteration:
                 other = first_alice[(a, c)]
                 assert trace(rho_a) == pytest.approx(trace(other), abs=1e-12)
                 assert_allclose(rho_a, other, atol=1e-12)
+
+    def test_support_plan_follows_the_calls_union_pattern(self):
+        """One plan serves every register of a call: adc at p = 0 (K1 all
+        zero), 0.5 and 1 (K0's lower entry zero) together have adc(0.5)'s
+        nonzero entries, so adc(0.5) alone reuses the stack's plan."""
+        secret = Secret.from_k(0.3)
+        cfgs = [ProtocolConfig(parties=3, secrets=(secret,), channel=NoiseSpec("adc", p)) for p in (0.0, 0.5, 1.0)]
+        protocol._support_plan.cache_clear()
+        protocol.run_iterations(cfgs, [secret] * 3)
+        protocol.run_iterations(cfgs[1], [secret])
+        assert protocol._support_plan.cache_info().misses == 1
 
 
 class TestSecrecy:
