@@ -25,19 +25,8 @@ from typing import Any, Callable, Sequence
 from . import validate as validate_mod
 from .analysis import DomainError
 from .channels import validate_cptp
-from .config import (
-    ConfigError,
-    ConfigValidationError,
-    run_config_from_text,
-    sweep_spec_from_text,
-)
-from .protocol import (
-    IterationReport,
-    ProtocolConfig,
-    aggregate_fidelity,
-    run_protocol,
-    success_probability,
-)
+from .config import ConfigError, ConfigValidationError, run_config_from_text, sweep_spec_from_text
+from .protocol import IterationReport, ProtocolConfig, aggregate_fidelity, run_protocol, success_probability
 from .sweeps import run_sweep, write_csv
 
 __all__ = ["main"]
@@ -49,84 +38,91 @@ EXIT_VALIDATION = 3
 EXIT_DOMAIN = 4
 
 
-def _round_floats(obj: Any) -> Any:
-    """12-significant-digit floats for reproducible reports."""
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return obj
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _num(x: float | None) -> str:
+    """A report float as ``json.dumps`` writes it once rounded to 12
+    significant digits; ``null`` for ``None``."""
+    if x is None:
+        return "null"
+    if math.isfinite(x):
+        return repr(float(f"{x:.12g}"))
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _config_echo(cfg: ProtocolConfig) -> dict[str, Any]:
+def _config_echo(cfg: ProtocolConfig) -> str:
+    """The config as the report's JSON object, one level deep."""
+    def num(x: Any) -> Any:
+        return float(f"{x:.12g}") if isinstance(x, float) else x
+
     def noise(spec) -> Any:
-        if spec is None:
-            return None
-        return {"kind": spec.kind, "strength": spec.strength}
+        return None if spec is None else {"kind": spec.kind, "strength": num(spec.strength)}
 
-    channel: Any
-    if isinstance(cfg.channel, tuple):
-        channel = [noise(s) for s in cfg.channel]
-    else:
-        channel = noise(cfg.channel)
-    return {
+    channel = [noise(s) for s in cfg.channel] if isinstance(cfg.channel, tuple) else noise(cfg.channel)
+    echo = {
         "parties": cfg.parties,
         "iterations": cfg.iterations,
-        "secrets_k": [s.k for s in cfg.secrets],
+        "secrets_k": [num(s.k) for s in cfg.secrets],
         "channel": channel,
-        "wmrqm": None if cfg.wmrqm is None else {"s": cfg.wmrqm.s, "r": cfg.wmrqm.r},
+        "wmrqm": None if cfg.wmrqm is None else {"s": num(cfg.wmrqm.s), "r": num(cfg.wmrqm.r)},
         "return_channel": noise(cfg.return_channel),
     }
+    return json.dumps(echo, indent=2).replace("\n", "\n  ")
 
 
-def _branch_entry(report: IterationReport) -> dict[str, Any]:
-    return {
-        "alice": report.alice_outcome,
-        "collaborators": list(report.collaborator_outcomes),
-        "correction": report.correction_applied,
-        "probability": report.branch_probability,
-        "fidelity": report.fidelity,
-    }
+# A round and a branch as json.dumps(indent=2) lays them out at their depth.
+_ROUND = """    {{
+      "index": {},
+      "branches": [
+{}
+      ],
+      "success_probability": {},
+      "aggregate_fidelity": {}
+    }}"""
+_BRANCH = """        {{
+          "alice": {},
+          "collaborators": [
+            "{}"
+          ],
+          "correction": "{}",
+          "probability": {},
+          "fidelity": {}
+        }}"""
 
 
-def _run_report(cfg: ProtocolConfig) -> dict[str, Any]:
-    iterations = run_protocol(cfg)
-
+def _report_text(cfg: ProtocolConfig, rounds: Sequence[Sequence[IterationReport]]) -> str:
+    """The ``run`` report: the text ``json.dumps(report, indent=2)`` gives
+    for the report object with every float rounded by ``_num``."""
     residuals: dict[str, float] = {}
     legs = [cfg.channel_for(i) for i in range(len(cfg.transmitted_qubits))]
     specs = [s for s in legs + [cfg.return_channel] if s is not None]
     if specs:
         residuals["channel_completeness"] = max(validate_cptp(s.channel().operators) for s in specs)
-    state_residual = 0.0
-    for reports in iterations:
-        for r in reports:
-            if r.reconstructed_state is not None:
-                state_residual = max(state_residual, abs(r.reconstructed_state.trace - 1.0))
-    residuals["reconstructed_state_trace"] = state_residual
+    residuals["reconstructed_state_trace"] = max([0.0] + [
+        abs(r.reconstructed_state.trace - 1.0) for reports in rounds for r in reports
+        if r.reconstructed_state is not None
+    ])
     if cfg.wmrqm is None:
         # Without post-selection every iteration's branches are exhaustive.
         residuals["branch_probability_sum"] = max(
-            abs(success_probability(reports) - 1.0) for reports in iterations
+            abs(success_probability(reports) - 1.0) for reports in rounds
         )
 
-    report = {
-        "config": _config_echo(cfg),
-        "iterations": [
-            {
-                "index": i,
-                "branches": [_branch_entry(r) for r in reports],
-                "success_probability": success_probability(reports),
-                "aggregate_fidelity": aggregate_fidelity(reports),
-            }
-            for i, reports in enumerate(iterations)
-        ],
-        "validation_residuals": residuals,
-    }
-    return _round_floats(report)
+    texts = []
+    for i, reports in enumerate(rounds):
+        branches = ",\n".join(
+            _BRANCH.format(
+                r.alice_outcome, '",\n            "'.join(r.collaborator_outcomes), r.correction_applied,
+                _num(r.branch_probability), _num(r.fidelity),
+            )
+            for r in reports
+        )
+        texts.append(_ROUND.format(
+            i, branches, _num(success_probability(reports)), _num(aggregate_fidelity(reports))
+        ))
+    lines = ",\n".join(f'    "{name}": {_num(value)}' for name, value in residuals.items())
+    return (
+        f'{{\n  "config": {_config_echo(cfg)},\n  "iterations": [\n' + ",\n".join(texts)
+        + f'\n  ],\n  "validation_residuals": {{\n{lines}\n  }}\n}}\n'
+    )
 
 
 def _load(path: str, what: str, parse: Callable[[str], Any]) -> tuple[Any, int]:
@@ -153,12 +149,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg is None:
         return code
     try:
-        report = _run_report(cfg)
+        text = _report_text(cfg, run_protocol(cfg))
     except (DomainError, ValueError) as exc:
         # e.g. a configuration whose post-selection extinguishes every branch
         print(f"error: numeric domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(text)
     return EXIT_OK
 
 

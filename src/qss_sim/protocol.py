@@ -735,18 +735,19 @@ def advance(prev: Sequence[IterationReport], secret: Secret, cfg: ProtocolConfig
         ):
             raise RuntimeError(f"reset of a returned {label!r} qubit did not land on |0>")
 
-    # One term per branch and reset combination, summed in that order: the
-    # order fixes the float result, so it stays an explicit loop. Each
-    # combination's product is built by prefix, left to right, in
-    # ``itertools.product`` order.
-    probs = {label: [p for p, _ in states] for label, states in resets.items()}
-    weight = 0.0
-    for w, outcomes in carried:
-        prods = [1.0]
-        for o in outcomes:
-            prods = [x * p for x in prods for p in probs[o]]
-        for x in prods:
-            weight += w * x
+    # One term w * x per carried branch and reset combination, in that
+    # order: each row of ``table`` holds a branch's combination products,
+    # built one helper at a time, left to right, in ``itertools.product``
+    # order, and the terms are added one after another from 0.0 (a pairwise
+    # sum would round differently). Both labels keep the same reset
+    # outcomes: the return channels act on the diagonal, which they share.
+    probs = np.array([[p for p, _ in resets[label]] for label in _OUTCOME_STATES])  # rows "+", "-"
+    labels = np.array([[o == "-" for o in outcomes] for _, outcomes in carried], dtype=np.intp)
+    table = np.ones((len(carried), 1))
+    for helper in labels.T:
+        table = (table[:, :, None] * probs[helper][:, None, :]).reshape(len(carried), -1)
+    terms = np.array([w for w, _ in carried])[:, None] * table
+    weight = float(np.add.accumulate(np.concatenate(([0.0], terms.ravel())))[-1])
 
     index = prev[0].iteration_index + 1
     return [

@@ -127,18 +127,25 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return np.linspace(lo, hi, n).tolist()
 
 
-def _worst(name: str, tol: float, residuals: Iterable[tuple[str, float]]) -> CheckResult:
-    """Reduce ``(point label, residual)`` pairs to the suite's result.
+def _largest(points: Iterable[tuple[str, float]], start: float) -> tuple[float, str, int]:
+    """``(largest value, its point label, point count)`` of ``(point label,
+    value)`` pairs, from ``(start, "")``.
 
-    The first point with the largest residual is the worst point. A
-    ``nan`` residual is worse than any number: the first one is the worst
-    point, and the suite fails.
+    The first point with the largest value wins. A ``nan`` is larger than
+    any number: the first one wins, and no suite passes with it.
     """
-    worst, worst_at, count = 0.0, "", 0
-    for at, res in residuals:
+    worst, worst_at, count = start, "", 0
+    for at, value in points:
         count += 1
-        if not math.isnan(worst) and not res <= worst:
-            worst, worst_at = res, at
+        if not math.isnan(worst) and not value <= worst:
+            worst, worst_at = value, at
+    return worst, worst_at, count
+
+
+def _worst(name: str, tol: float, residuals: Iterable[tuple[str, float]]) -> CheckResult:
+    """Reduce ``(point label, residual)`` pairs to the suite's result; the
+    worst point is the ``_largest`` residual's."""
+    worst, worst_at, count = _largest(residuals, 0.0)
     return CheckResult(name, count, worst, tol, worst <= tol, worst_at)
 
 
@@ -279,7 +286,8 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
     Pointwise (fixed k) gains are possible for lopsided secrets, so the
     meaningful comparison is the average over the secret family. The gain
     is signed: the note reports the largest one, negative when protection
-    only ever hurts.
+    only ever hurts. A ``nan`` gain is the largest (``_largest``), so the
+    check fails at the first one.
     """
 
     def aggregate(sim: dict) -> float:
@@ -302,15 +310,14 @@ def _suite_pdc_wmrqm_spot_check(n: int) -> CheckResult:
 
     base = dict(zip(strengths, _integrals(analysis.f_pd, [(q,) for q in strengths], n=nodes)))
     averages = [(which, protected(view)) for which, view in views]
-    gains = [
-        (average[i] - base[q], f"q={q:g}, s={s:g}, r={r:g}, {which}")
+    worst_gain, worst_at, count = _largest((
+        (f"q={q:g}, s={s:g}, r={r:g}, {which}", average[i] - base[q])
         for i, (q, s, r) in enumerate(grid)
         for which, average in averages
-    ]
-    worst_gain, worst_at = max(gains, key=lambda gain: gain[0])
+    ), -math.inf)
     return CheckResult(
         "phase damping: protection never improves the average",
-        len(gains),
+        count,
         max(worst_gain, 0.0),
         1e-12,
         worst_gain <= 1e-12,

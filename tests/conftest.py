@@ -214,3 +214,12 @@ def correction_search_oracle(obj, restarts=8, grid=16, sweeps=4):
                     angles[coord], value = x, fx
         results.append(float(value))
     return results
+
+
+def assert_same_text(text, expected):
+    """``text == expected``, failing with the first line that differs
+    (pytest's own diff of two long texts takes minutes)."""
+    if text != expected:
+        ours, theirs = text.split("\n"), expected.split("\n")
+        i = next(i for i, (a, b) in enumerate(zip(ours + [None], theirs + [None])) if a != b)
+        pytest.fail(f"line {i + 1}: {ours[i:i + 1]} != {theirs[i:i + 1]}")

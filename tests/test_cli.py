@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import assert_same_text
 import qss_sim
-from qss_sim import analysis, sweeps
+from qss_sim import analysis, cli, sweeps
 from qss_sim.cli import main
 from qss_sim.config import (
     ConfigError,
@@ -19,7 +20,7 @@ from qss_sim.config import (
     run_config_from_text,
     sweep_spec_from_text,
 )
-from qss_sim.protocol import MAX_ITERATIONS, ProtocolConfig, Secret
+from qss_sim.protocol import MAX_ITERATIONS, NoiseSpec, ProtocolConfig, Secret, run_protocol
 from qss_sim.sweeps import format_float, run_sweep
 
 
@@ -255,6 +256,17 @@ class TestRunCommand:
         code, out = self.run_cli("run", "--config", str(repo / "tests" / "data" / "run_8q_seed0.cfg"))
         assert code == 0
         assert out.encode() == (repo / "benchmarks" / "reference" / "run_8q_seed0.json").read_bytes()
+
+    def test_per_leg_report_bytes_match_golden(self):
+        # Parties 3, a per-leg channel list with a noiseless leg, no
+        # protection and no return channel, over two rounds: the report
+        # shape with a channel list and a branch_probability_sum residual.
+        # The config file format has one channel for every leg, so the
+        # config is built here; the golden was written by json.dumps.
+        cfg = ProtocolConfig(parties=3, secrets=(Secret.from_k(0.27), Secret.from_k(0.81)),
+                             channel=(NoiseSpec("adc", 0.37), None, NoiseSpec("pdc", 0.52)))
+        text = cli._report_text(cfg, run_protocol(cfg))
+        assert_same_text(text, (Path(__file__).parent / "data" / "run_3p_legs.stdout").read_text())
 
     def test_register_beyond_eight_qubits_is_a_validation_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -714,3 +726,21 @@ class TestValidateCommand:
         row = next(i for i, line in enumerate(lines) if line.startswith("f_pd vs simulator"))
         assert lines[row].endswith("nan      1e-12  FAIL")
         assert lines[row + 1] == "    worst point: k=0, strength=0, branch=(0, '+')"
+
+    def test_nan_average_gain_fails_the_phase_damping_check(self, monkeypatch):
+        from qss_sim import validate as v
+
+        real = v._branch_fidelities
+
+        def nan_at_third_point(ks, grid):
+            # the branch-(0, '+') fidelity of the third grid point, at every node
+            sims = real(ks, grid)
+            hit = tuple({b: (float("nan") if b == (0, "+") else f, p) for b, (f, p) in sim.items()}
+                        for sim in sims[2])
+            return sims[:2] + (hit,) + sims[3:]
+
+        monkeypatch.setattr(v, "_branch_fidelities", nan_at_third_point)
+        result = v._suite_pdc_wmrqm_spot_check(3)
+        assert np.isnan(result.max_residual) and not result.passed
+        assert result.worst_point == "q=0.25, s=0, r=0.7, branch0"
+        assert result.note == "largest observed average gain nan (negative = strictly worse)"

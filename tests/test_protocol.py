@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import PROJECTORS, partial_trace_oracle, random_secret, withheld_oracle
 from qss_sim import protocol
-from qss_sim.channels import _apply_channel_matrix
-from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z, embed
+from qss_sim.channels import _apply_channel_matrix, apply_channel
+from qss_sim.linalg import ID2, MINUS_I_PAULI_Y, PAULI_X, PAULI_Z, DensityMatrix, embed
 from qss_sim.protocol import (
     _BASIS_PROJECTORS,
     _encoded_amplitudes,
@@ -425,6 +425,53 @@ class TestSequentialRuns:
         three = ProtocolConfig(parties=3, secrets=(Secret.from_k(0.3),))
         with pytest.raises(ValueError, match="disagree on party count"):
             advance(run_iteration(two, two.secrets[0]), Secret.from_k(0.5), three)
+
+    RETURN_CHANNELS = [None] + [NoiseSpec(kind, p) for kind in ("pdc", "adc") for p in (0.0, 0.5, 1.0)]
+
+    @staticmethod
+    def loop_weight(prev, cfg):
+        """The recycling weight as a scalar loop: per carried branch, each
+        reset combination's product by prefix in ``itertools.product``
+        order, every ``w * x`` added in turn from 0.0."""
+        probs = {}
+        for label, vec in protocol._OUTCOME_STATES.items():
+            returned = DensityMatrix(np.outer(vec, vec.conj()))
+            if cfg.return_channel is not None:
+                returned = apply_channel(returned, cfg.return_channel.channel(), 0)
+            probs[label] = [p for p, _ in protocol._reset_to_zero(returned)]
+        weight = 0.0
+        for r in prev:
+            if r.reconstructed_state is None:
+                continue
+            prods = [1.0]
+            for o in r.collaborator_outcomes:
+                prods = [x * p for x in prods for p in probs[o]]
+            for x in prods:
+                weight += r.branch_probability * x
+        return weight
+
+    @staticmethod
+    def advance_weight(prev, cfg, monkeypatch):
+        """``advance``'s weight: the probability it gives a branch of probability 1."""
+        unit = protocol.IterationReport(0, 0, ("+",) * (cfg.parties - 1), "I", None, None, 1.0)
+        monkeypatch.setattr(protocol, "_execute_iteration", lambda cfgs, secrets: [unit])
+        (report,) = advance(prev, Secret.from_k(0.5), cfg)
+        return report.branch_probability
+
+    @pytest.mark.parametrize("return_channel", RETURN_CHANNELS)
+    @pytest.mark.parametrize("parties", range(2, 8))
+    def test_recycling_weight_is_the_scalar_loops(self, parties, return_channel, monkeypatch):
+        cfg = ProtocolConfig(parties=parties, secrets=(Secret.from_k(0.3),), channel=NoiseSpec("adc", 0.4),
+                             wmrqm=Wmrqm(0.2, 0.3), return_channel=return_channel)
+        prev = run_iteration(cfg, cfg.secrets[0])
+        # a carried round of random weights spread over many magnitudes
+        rng = np.random.default_rng(parties)
+        drawn = [protocol.IterationReport(0, int(a), tuple("+-"[b] for b in bits), "I", object(), None, w)
+                 for a, bits, w in zip(rng.integers(0, 2, 200), rng.integers(0, 2, (200, parties - 1)),
+                                       np.exp(rng.uniform(-30.0, 0.0, 200)).tolist())]
+        for carried in (prev, drawn):
+            expected = self.loop_weight(carried, cfg)
+            assert self.advance_weight(carried, cfg, monkeypatch).hex() == expected.hex()
 
     def test_run_leaves_no_reference_cycles(self):
         # Registers and projectors must be freed by reference counting when
